@@ -14,13 +14,12 @@
      dune exec bench/main.exe -- --metrics-out BENCH.json      # bench_diff dump
      dune exec bench/main.exe -- serve_sweep --metrics-out BENCH.json
      dune exec bench/main.exe -- --spill-dir /tmp/qs --buffer-chunks 8 io_sweep
-     dune exec bench/main.exe -- --layout columnar scan_sweep
      # committed-baseline regeneration (see tools/check.sh): ONE run
      # writing every flavour — roster-only, roster+serve,
-     # roster+serve+io, roster+serve+io+pipeline, additionally
-     # +telemetry, and additionally +columnar — so their shared entries
-     # are byte-identical (BENCH_pr4.json is a copy of the regenerated
-     # BENCH_pr5.json)
+     # roster+serve+io, roster+serve+io+pipeline and additionally
+     # +telemetry (written twice: BENCH_pr9.json and BENCH_pr10.json)
+     # — so their shared entries are byte-identical (BENCH_pr4.json is
+     # a copy of the regenerated BENCH_pr5.json)
      dune exec bench/main.exe -- --queries 12 \
        --baseline-out BENCH_pr5.json --serve-out BENCH_pr6.json \
        --io-out BENCH_pr7.json --pipeline-out BENCH_pr8.json \
@@ -159,13 +158,6 @@ let () =
     | "--chunk-rows" :: v :: rest ->
         Qs_storage.Table.set_default_chunk_rows (int_of_string v);
         parse rest
-    | "--layout" :: v :: rest ->
-        (match Qs_storage.Table.layout_of_string v with
-        | Some l -> Qs_storage.Table.set_default_layout l
-        | None ->
-            Printf.eprintf "unknown --layout %s (row|columnar)\n" v;
-            exit 1);
-        parse rest
     | "--dp-limit" :: v :: rest ->
         Qs_plan.Optimizer.set_dp_input_limit (int_of_string v);
         parse rest
@@ -272,15 +264,14 @@ let () =
   | metrics, baseline, serve, io, pipeline, telemetry ->
       (* every requested flavour from one harness run, so full
          bench_diffs between the written files are meaningful *)
-      let base_json, serve_json, io_json, pipeline_json, telemetry_json,
-          full_json =
+      let base_json, serve_json, io_json, pipeline_json, full_json =
         Experiments.metrics_json_flavors s
       in
       Option.iter (fun path -> write path base_json) baseline;
       Option.iter (fun path -> write path serve_json) serve;
       Option.iter (fun path -> write path io_json) io;
       Option.iter (fun path -> write path pipeline_json) pipeline;
-      Option.iter (fun path -> write path telemetry_json) telemetry;
+      Option.iter (fun path -> write path full_json) telemetry;
       Option.iter (fun path -> write path full_json) metrics);
   Option.iter Qs_util.Pool.shutdown io_pool;
   match (!trace_out, s.Experiments.tracer) with

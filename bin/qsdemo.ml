@@ -10,7 +10,6 @@
      dune exec bin/qsdemo.exe -- run --serve --stats-out /tmp/qs.stats -n 50
      dune exec bin/qsdemo.exe -- top --file /tmp/qs.stats       # live dashboard
      dune exec bin/qsdemo.exe -- run --spill-dir /tmp/qs --buffer-chunks 8
-     dune exec bin/qsdemo.exe -- run --layout columnar -n 10   # vectorized scans
      dune exec bin/qsdemo.exe -- plan --workload cinema --query 3 *)
 
 module Catalog = Qs_storage.Catalog
@@ -94,25 +93,6 @@ let chunk_rows_arg =
 (* applied before any table is built, so every table of the run is chunked
    at the requested size *)
 let apply_chunk_rows n = if n > 0 then Table.set_default_chunk_rows n
-
-let layout_arg =
-  Arg.(value & opt string "row"
-       & info [ "layout" ]
-           ~doc:
-             "Chunk layout for every table built during the run: 'row' \
-              (boxed row arrays, the default) or 'columnar' (column-major \
-              chunks with unboxed arrays, dictionary-encoded strings and \
-              vectorized filter kernels). Results are identical either \
-              way.")
-
-(* applied before any table is built, so base tables and intermediates
-   share the requested layout *)
-let apply_layout name =
-  match Table.layout_of_string name with
-  | Some l -> Table.set_default_layout l
-  | None ->
-      Printf.eprintf "unknown --layout %s (row|columnar)\n" name;
-      exit 1
 
 let spill_dir_arg =
   Arg.(value & opt (some string) None
@@ -335,9 +315,8 @@ let serve_demo ~scale ~seed ~n ~index ~domains ~policy ~stats_out ~prom_out
 
 let run_cmd workload scale seed n timeout index algo collect_stats domains
     join_parallelism explain profile serve policy stats_out prom_out chunk_rows
-    layout dp_limit spill_dir buffer_chunks =
+    dp_limit spill_dir buffer_chunks =
   apply_chunk_rows chunk_rows;
-  apply_layout layout;
   apply_dp_limit dp_limit;
   let tracer = if profile then Some (Span.create ()) else None in
   apply_spill tracer spill_dir buffer_chunks;
@@ -412,9 +391,8 @@ let run_cmd workload scale seed n timeout index algo collect_stats domains
       Printf.printf "total: %s\n" (Qs_harness.Report.seconds (Runner.total_time rs));
       print_profile ()
 
-let plan_cmd scale seed qidx chunk_rows layout dp_limit =
+let plan_cmd scale seed qidx chunk_rows dp_limit =
   apply_chunk_rows chunk_rows;
-  apply_layout layout;
   apply_dp_limit dp_limit;
   let cat = build_cinema ~scale ~seed ~index:Catalog.Pk_fk in
   let env = Runner.make_env ~seed cat in
@@ -436,9 +414,8 @@ let plan_cmd scale seed qidx chunk_rows layout dp_limit =
         (Query.to_sql sq))
     (Querysplit.subquery_plans ctx q Querysplit.default_config)
 
-let sql_cmd workload scale seed index explain chunk_rows layout sql_text =
+let sql_cmd workload scale seed index explain chunk_rows sql_text =
   apply_chunk_rows chunk_rows;
-  apply_layout layout;
   let cat =
     match workload with
     | `Cinema -> build_cinema ~scale ~seed ~index
@@ -512,8 +489,7 @@ let run_term =
     const run_cmd $ workload_arg $ scale_arg $ seed_arg $ queries_arg $ timeout_arg
     $ index_arg $ algo_arg $ stats_arg $ domains_arg $ join_par_arg $ explain_arg
     $ profile_arg $ serve_arg $ policy_arg $ stats_out_arg $ prom_out_arg
-    $ chunk_rows_arg $ layout_arg $ dp_limit_arg $ spill_dir_arg
-    $ buffer_chunks_arg)
+    $ chunk_rows_arg $ dp_limit_arg $ spill_dir_arg $ buffer_chunks_arg)
 
 let query_arg =
   Arg.(value & opt int 0 & info [ "query"; "q" ] ~doc:"Query index to inspect.")
@@ -521,7 +497,7 @@ let query_arg =
 let plan_term =
   Term.(
     const plan_cmd $ scale_arg $ seed_arg $ query_arg $ chunk_rows_arg
-    $ layout_arg $ dp_limit_arg)
+    $ dp_limit_arg)
 
 let sql_text_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL" ~doc:"The SQL text.")
@@ -529,7 +505,7 @@ let sql_text_arg =
 let sql_term =
   Term.(
     const sql_cmd $ workload_arg $ scale_arg $ seed_arg $ index_arg $ explain_arg
-    $ chunk_rows_arg $ layout_arg $ sql_text_arg)
+    $ chunk_rows_arg $ sql_text_arg)
 
 let top_file_arg =
   Arg.(required & opt (some string) None

@@ -2,8 +2,6 @@ module Physical = Qs_plan.Physical
 module Table = Qs_storage.Table
 module Schema = Qs_storage.Schema
 module Value = Qs_storage.Value
-module Chunk = Qs_storage.Chunk
-module Columnar = Qs_storage.Columnar
 module Index = Qs_storage.Index
 module Fragment = Qs_stats.Fragment
 module Expr = Qs_query.Expr
@@ -33,23 +31,19 @@ let set_default_mode m = default_mode := m
 let execution_mode () = !default_mode
 
 (* Observability counters (cumulative, reset around experiments): how
-   many intermediate tables the engine materialized, how often a
+   many intermediate tables the engine materialized, and how often a
    partitioned join consumed a side through its preserved partition
-   layout instead of re-hashing every row, and how many chunks were
-   filtered through the vectorized columnar kernels rather than
-   row-at-a-time predicate evaluation. *)
+   layout instead of re-hashing every row. *)
 let intermediates = Atomic.make 0
 let partition_reuse_count = Atomic.make 0
-let vectorized_chunk_count = Atomic.make 0
 
 let reset_counters () =
   Atomic.set intermediates 0;
-  Atomic.set partition_reuse_count 0;
-  Atomic.set vectorized_chunk_count 0
+  Atomic.set partition_reuse_count 0
 
 let intermediate_tables () = Atomic.get intermediates
 let partition_reuses () = Atomic.get partition_reuse_count
-let vectorized_chunks () = Atomic.get vectorized_chunk_count
+let vectorized_chunks () = 0
 
 (* Both global counters also feed the ambient per-query flight record
    (serving telemetry), when one is installed on this domain. *)
@@ -80,178 +74,62 @@ let table_slot : Table.t Scratch.slot = Scratch.slot ()
 let filters_key filters =
   String.concat " & " (List.sort compare (List.map Expr.to_string filters))
 
-(* --- vectorized predicate evaluation ----------------------------------- *)
+(* --- selection vectors -------------------------------------------------- *)
 
 (* Selection vectors: a filter over a chunk produces the strictly
    increasing array of surviving row ordinals instead of a materialized
-   row copy. [None] stands for the dense vector (every row live) — the
-   contract downstream kernels rely on: a [None] selvec means ordinals
-   [0 .. n_rows-1] exactly, never "unknown". *)
+   row copy. *)
+let filter_ordinals n keep =
+  let out = Array.make n 0 in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if keep i then begin
+      out.(!k) <- i;
+      incr k
+    end
+  done;
+  Array.sub out 0 !k
 
-let filter_ordinals n sel keep =
-  match sel with
-  | None ->
-      let out = Array.make n 0 in
-      let k = ref 0 in
-      for i = 0 to n - 1 do
-        if keep i then begin
-          out.(!k) <- i;
-          incr k
-        end
-      done;
-      Array.sub out 0 !k
-  | Some sel ->
-      let out = Array.make (Array.length sel) 0 in
-      let k = ref 0 in
-      Array.iter
-        (fun i ->
-          if keep i then begin
-            out.(!k) <- i;
-            incr k
-          end)
-        sel;
-      Array.sub out 0 !k
-
-(* Compilation of a predicate to columnar kernel invocations: a
-   [col <op> const] comparison (either orientation), its Between
-   expansion, or IS [NOT] NULL on a plain column. Everything else —
-   arithmetic scalars, LIKE, IN, OR — stays on the row fallback. *)
-type vec_pred =
-  | VCmp of int * Columnar.op * Value.t
-  | VNull of int * bool
-
-let vec_op = function
-  | Expr.Lt -> Columnar.Lt
-  | Expr.Le -> Columnar.Le
-  | Expr.Gt -> Columnar.Gt
-  | Expr.Ge -> Columnar.Ge
-  | Expr.Eq -> Columnar.Eq
-  | Expr.Ne -> Columnar.Ne
-
-(* [const <op> col] reads as [col <flipped op> const] *)
-let flip_op = function
-  | Columnar.Lt -> Columnar.Gt
-  | Columnar.Le -> Columnar.Ge
-  | Columnar.Gt -> Columnar.Lt
-  | Columnar.Ge -> Columnar.Le
-  | (Columnar.Eq | Columnar.Ne) as o -> o
-
-let compile_vec schema (p : Expr.pred) =
-  let pos (c : Expr.colref) =
-    Schema.find_exn schema ~rel:c.Expr.rel ~name:c.Expr.name
-  in
-  match p with
-  | Expr.Cmp (op, Expr.Col c, Expr.Const v) -> Some [ VCmp (pos c, vec_op op, v) ]
-  | Expr.Cmp (op, Expr.Const v, Expr.Col c) ->
-      Some [ VCmp (pos c, flip_op (vec_op op), v) ]
-  | Expr.Between (Expr.Col c, lo, hi) ->
-      let j = pos c in
-      Some [ VCmp (j, Columnar.Ge, lo); VCmp (j, Columnar.Le, hi) ]
-  | Expr.Is_null (Expr.Col c) -> Some [ VNull (pos c, true) ]
-  | Expr.Not_null (Expr.Col c) -> Some [ VNull (pos c, false) ]
-  | _ -> None
-
-(* Selection vector of one chunk under a non-empty conjunction.
-   Columnar chunks run every compilable predicate through the batch
-   kernels (each narrowing the vector); predicates with no kernel — or
-   whose kernel declines the column's representation — fall back to
-   row-at-a-time [Expr.eval] over the survivors. A partially applied
-   kernel chain (e.g. the Ge half of a Between on a generic column) is
-   sound: kernels only remove rows the full predicate also rejects.
-   Row chunks evaluate row-at-a-time directly. Either way the result is
-   ordinals, not copied rows. *)
-let chunk_selvec ?deadline ?cancel schema filters (chunk : Chunk.t) =
+(* Selection vector of one chunk under a non-empty conjunction, each
+   row evaluated with [Expr.eval]. *)
+let chunk_selvec ?deadline ?cancel schema filters rows =
   let tick = tick deadline cancel in
-  let n = Chunk.n_rows chunk in
-  let row_fallback rows_of sel preds =
-    let keep i =
+  filter_ordinals (Array.length rows) (fun i ->
       if i mod batch = 0 then tick ();
-      let row = (Lazy.force rows_of).(i) in
-      List.for_all (Expr.eval schema row) preds
-    in
-    filter_ordinals n sel keep
-  in
-  match Chunk.columnar chunk with
-  | Some col ->
-      let sel = ref None in
-      let residual = ref [] in
-      let vectorized = ref false in
-      List.iter
-        (fun p ->
-          let applied =
-            match compile_vec schema p with
-            | None -> false
-            | Some vps ->
-                List.for_all
-                  (fun vp ->
-                    let r =
-                      match vp with
-                      | VCmp (j, op, v) ->
-                          Columnar.eval_cmp col ~col:j op v ~sel:!sel
-                      | VNull (j, w) ->
-                          Columnar.eval_null col ~col:j ~want_null:w ~sel:!sel
-                    in
-                    match r with
-                    | Some s ->
-                        sel := Some s;
-                        true
-                    | None -> false)
-                  vps
-          in
-          if applied then vectorized := true else residual := p :: !residual)
-        filters;
-      if !vectorized then Atomic.incr vectorized_chunk_count;
-      let sel =
-        match List.rev !residual with
-        | [] -> Option.value !sel ~default:(Array.init n Fun.id)
-        | preds ->
-            let rows_of = lazy (Chunk.rows chunk) in
-            row_fallback rows_of !sel preds
-      in
-      tick ();
-      sel
-  | None ->
-      let rows = Chunk.rows chunk in
-      row_fallback (lazy rows) None filters
+      List.for_all (Expr.eval schema rows.(i)) filters)
 
 (* Materializing per-chunk filter: gather the survivors into a dense
-   chunk of the input's own layout (columnar in, columnar out). *)
-let filter_chunk_data ?deadline ?cancel schema filters (chunk : Chunk.t) =
-  let sel = chunk_selvec ?deadline ?cancel schema filters chunk in
-  if Array.length sel = Chunk.n_rows chunk then chunk
-  else
-    match Chunk.columnar chunk with
-    | Some col -> Chunk.of_columnar (Columnar.take col sel)
-    | None ->
-        let rows = Chunk.rows chunk in
-        Chunk.of_rows (Array.map (fun i -> rows.(i)) sel)
+   chunk, or share the input chunk when every row survives. *)
+let filter_chunk ?deadline ?cancel schema filters rows =
+  let sel = chunk_selvec ?deadline ?cancel schema filters rows in
+  if Array.length sel = Array.length rows then rows
+  else Array.map (fun i -> rows.(i)) sel
 
 (* Chunked scan+filter. With [pool], chunks are filtered in parallel;
    Pool.map returns per-chunk outputs in chunk order, so the surviving
-   rows come back in exactly the sequential scan's row order. The
-   output preserves each input chunk's layout. *)
+   rows come back in exactly the sequential scan's row order. *)
 let filter_table ?deadline ?cancel ?pool (tbl : Table.t) filters =
   match filters with
   | [] -> tbl
   | filters ->
       let schema = tbl.Table.schema in
       let nc = Table.n_chunks tbl in
-      let job chunk = filter_chunk_data ?deadline ?cancel schema filters chunk in
+      let job chunk = filter_chunk ?deadline ?cancel schema filters chunk in
       let chunks =
         match pool with
         | Some pool when Pool.size pool > 1 && nc > 1 ->
             Pool.map pool
-              (fun ci -> job (Table.chunk_data tbl ci))
+              (fun ci -> job (Table.chunk tbl ci))
               (List.init nc Fun.id)
         | _ ->
             (* sequential scan through the chunk walker, so spilled
                inputs prefetch upcoming chunks while this one filters *)
             let out = ref [] in
-            Table.iter_chunk_data (fun _ chunk -> out := job chunk :: !out) tbl;
+            Table.iter_chunks (fun _ chunk -> out := job chunk :: !out) tbl;
             List.rev !out
       in
       built_intermediate ();
-      Table.of_chunk_data ~name:tbl.Table.name ~schema chunks
+      Table.of_chunks ~name:tbl.Table.name ~schema chunks
 
 let filter_input ?deadline ?cancel ?pool (input : Fragment.input) =
   let tbl = input.Fragment.table in
@@ -643,77 +521,53 @@ let run_materializing ?deadline ?cancel ~row_limit ?pool ?trace ?spans plan =
 (* Morsel-driven pipelined engine                                          *)
 (* ---------------------------------------------------------------------- *)
 
-(* A morsel: one chunk (in whichever layout its table stores) plus a
-   selection vector of the ordinals that survived the fused filters.
-   [m_sel = None] is the dense vector — ordinals [0 .. n_rows-1]
-   exactly; a full selvec is normalized to [None] at the morsel
-   boundary, so kernels may assume a [Some] vector is a strict subset.
-   Empty morsels are never emitted. Passing (chunk, selvec) pairs
-   instead of copied row arrays is what lets scan→filter→probe run
-   without materializing anything between fused operators. *)
-type morsel = { m_chunk : Chunk.t; m_sel : int array option }
+(* A morsel: one chunk plus a selection vector of the ordinals that
+   survived the fused filters. [m_sel = None] is the dense vector —
+   ordinals [0 .. n_rows-1] exactly; a full selvec is normalized to
+   [None] at the morsel boundary, so consumers may assume a [Some]
+   vector is a strict subset. Empty morsels are never emitted. Passing
+   (chunk, selvec) pairs instead of copied row arrays is what lets
+   scan→filter→probe run without materializing anything between fused
+   operators. *)
+type morsel = { m_chunk : Value.t array array; m_sel : int array option }
 
 let morsel_of ~chunk ~sel =
   match sel with
-  | Some s when Array.length s = Chunk.n_rows chunk ->
+  | Some s when Array.length s = Array.length chunk ->
       { m_chunk = chunk; m_sel = None }
   | _ -> { m_chunk = chunk; m_sel = sel }
 
 let morsel_count m =
   match m.m_sel with
   | Some s -> Array.length s
-  | None -> Chunk.n_rows m.m_chunk
+  | None -> Array.length m.m_chunk
 
 (* visit the surviving ordinals in order *)
 let morsel_ordinals m f =
   match m.m_sel with
   | None ->
-      for i = 0 to Chunk.n_rows m.m_chunk - 1 do
+      for i = 0 to Array.length m.m_chunk - 1 do
         f i
       done
   | Some s -> Array.iter f s
 
-(* Ordinal-indexed row fetch. Columnar chunks decode lazily and only
-   once per morsel — consumers that never touch a row (e.g. a probe
-   with no matches) never pay the decode. *)
+(* ordinal-indexed row fetch *)
 let morsel_fetch m =
-  match Chunk.columnar m.m_chunk with
-  | None ->
-      let rows = Chunk.rows m.m_chunk in
-      fun i -> rows.(i)
-  | Some col ->
-      let rows = lazy (Columnar.to_rows col) in
-      fun i -> (Lazy.force rows).(i)
+  let rows = m.m_chunk in
+  fun i -> rows.(i)
 
-(* Ordinal-indexed single-column accessor — the batch path for join
-   keys: a columnar chunk decodes the whole key column at once (one
-   sweep over the unboxed array) when the selvec is dense enough to
-   amortize it, and falls back to point gets on highly selective
-   morsels. *)
+(* ordinal-indexed single-column accessor, for join keys *)
 let morsel_col m p =
-  match Chunk.columnar m.m_chunk with
-  | None ->
-      let rows = Chunk.rows m.m_chunk in
-      fun i -> rows.(i).(p)
-  | Some col ->
-      let dense_enough =
-        match m.m_sel with
-        | None -> true
-        | Some s -> 4 * Array.length s >= Columnar.n_rows col
-      in
-      if dense_enough then begin
-        let vs = Columnar.column_values col p in
-        fun i -> vs.(i)
-      end
-      else fun i -> Columnar.get col ~row:i ~col:p
+  let rows = m.m_chunk in
+  fun i -> rows.(i).(p)
 
-(* dense array of the surviving rows (shared with the chunk when the
-   morsel is dense and row-major) *)
+(* dense array of the surviving rows (the chunk itself when the morsel
+   is dense) *)
 let morsel_rows m =
   match m.m_sel with
-  | None -> Chunk.rows m.m_chunk
+  | None -> m.m_chunk
   | Some s ->
-      let rows = Chunk.rows m.m_chunk in
+      let rows = m.m_chunk in
       Array.map (fun i -> rows.(i)) s
 
 (* A stream of chunk-sized morsels. [ps_iter] drives the whole operator
@@ -766,15 +620,14 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
         bump p (Array.length rows);
         (* operator outputs are freshly assembled rows: a dense
            row-major morsel *)
-        emit tag { m_chunk = Chunk.of_rows rows; m_sel = None }
+        emit tag { m_chunk = rows; m_sel = None }
   in
   let rec stream (p : Physical.t) : pstream =
     match p.Physical.node with
     | Physical.Scan input ->
         (* fused scan+filter: the selection runs inside the pinned chunk
            walk and produces a selection vector over the chunk — no row
-           copy, no intermediate table; columnar chunks go through the
-           vectorized kernels. The deadline / cancel poll sits at the
+           copy, no intermediate table. The deadline / cancel poll sits at the
            morsel boundary, so a cancellation unwinds before the next
            frame is pinned. *)
         let tbl = input.Fragment.table in
@@ -789,7 +642,7 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
               pt;
           ps_iter =
             (fun emit ->
-              Table.iter_chunk_data
+              Table.iter_chunks
                 (fun ci chunk ->
                   tick ();
                   let sel =
@@ -858,9 +711,6 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
                               parts.(tag) (morsel_rows m))
                   | None ->
                       s.ps_iter (fun _ m ->
-                          (* batch key extraction: the key columns are
-                             decoded column-at-a-time off a columnar
-                             morsel, then hashed per surviving ordinal *)
                           let kcols = List.map (morsel_col m) pos in
                           let fetch = morsel_fetch m in
                           morsel_ordinals m (fun i ->
@@ -937,7 +787,7 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
                             (fun chunk ->
                               tick ();
                               bump p (Array.length chunk);
-                              emit pi { m_chunk = Chunk.of_rows chunk; m_sel = None })
+                              emit pi { m_chunk = chunk; m_sel = None })
                             (chunk_up (Array.of_list rows)))
                         parts_out);
                 }
@@ -955,9 +805,6 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
                       Span.span spans Span.Breaker ("hash-build:" ^ bid p)
                         (fun () ->
                           bstream.ps_iter (fun _ m ->
-                              (* batch build: key columns decoded
-                                 column-at-a-time per morsel, rows
-                                 fetched lazily only for live keys *)
                               let kcols = List.map (morsel_col m) bpos in
                               let fetch = morsel_fetch m in
                               morsel_ordinals m (fun i ->
@@ -1176,22 +1023,14 @@ let project ?name (tbl : Table.t) cols =
       let schema = Array.of_list (List.map (fun p -> tbl.Table.schema.(p)) positions) in
       let chunks =
         List.init (Table.n_chunks tbl) (fun ci ->
-            match Chunk.columnar (Table.chunk_data tbl ci) with
-            | Some col ->
-                (* columnar projection shares the retained columns —
-                   no per-row work at all *)
-                Chunk.of_columnar (Columnar.project col positions)
-            | None ->
-                Chunk.of_rows
-                  (Array.map
-                     (fun row ->
-                       Array.of_list (List.map (fun p -> row.(p)) positions))
-                     (Table.chunk tbl ci)))
+            Array.map
+              (fun row -> Array.of_list (List.map (fun p -> row.(p)) positions))
+              (Table.chunk tbl ci))
       in
       (* chunk-for-chunk rewrite: the source's partition layout still
          holds if every key column survived the projection *)
       Table.copy_partitioning ~from:tbl
-        (Table.of_chunk_data ~name:(Option.value name ~default:tbl.Table.name)
+        (Table.of_chunks ~name:(Option.value name ~default:tbl.Table.name)
            ~schema chunks)
 
 let cartesian ~name tables =

@@ -61,10 +61,10 @@ val partition_reuses : unit -> int
     partitioning}) instead of re-hashing every row. *)
 
 val vectorized_chunks : unit -> int
-(** Cumulative count of columnar chunks whose filter conjunction ran (at
-    least partially) through the vectorized selection-vector kernels
-    ({!Qs_storage.Columnar.eval_cmp}) instead of row-at-a-time
-    [Expr.eval]. Always 0 under the [Row] layout. *)
+(** Always 0. It counted chunks filtered by the columnar layout's
+    vectorized kernels; row chunks are the only layout now, and every
+    filter runs row-at-a-time. It stays because the repo benchmark
+    reports it as the per-layer metric [exec.vectorized_chunks]. *)
 
 val reset_counters : unit -> unit
 

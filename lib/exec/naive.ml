@@ -31,6 +31,35 @@ let prune tbl preds keep =
       (Array.make (Table.n_rows tbl) [||])
   else Executor.project tbl cols
 
+(* The reference scan: the input's filters evaluated row at a time with
+   [Expr.eval] over its table. Deliberately not [Executor.filter_input],
+   which reads and fills the engine's filter cache on the input's
+   scratch: the oracle must not share its ground truth with the engine
+   it checks. *)
+let filtered_rows ?deadline (i : Fragment.input) =
+  let tbl = i.Fragment.table in
+  let schema = tbl.Table.schema in
+  let kept = ref [] and seen = ref 0 in
+  Table.iter
+    (fun row ->
+      (if !seen mod 16384 = 0 then
+         match deadline with
+         | Some d when Qs_util.Timer.now () > d -> raise Executor.Timeout
+         | _ -> ());
+      incr seen;
+      if List.for_all (Expr.eval schema row) i.Fragment.filters then
+        kept := row :: !kept)
+    tbl;
+  Array.of_list (List.rev !kept)
+
+let filter_input ?deadline (i : Fragment.input) =
+  let tbl = i.Fragment.table in
+  match i.Fragment.filters with
+  | [] -> tbl
+  | _ ->
+      Table.create ~name:tbl.Table.name ~schema:tbl.Table.schema
+        (filtered_rows ?deadline i)
+
 (* saturating arithmetic: true cardinalities of cartesian products and
    explosive joins can exceed 63-bit range *)
 let mul_sat a b =
@@ -52,7 +81,7 @@ let join_component ?deadline (frag : Fragment.t) (inputs : Fragment.input list) 
     List.map
       (fun i ->
         ( i.Fragment.provides,
-          Executor.filter_input ?deadline i |> fun t -> prune t sub.Fragment.preds keep ))
+          filter_input ?deadline i |> fun t -> prune t sub.Fragment.preds keep ))
       inputs
   in
   let preds = ref sub.Fragment.preds in
@@ -179,18 +208,17 @@ let group_by_needed preds (schema : Schema.t) rows =
   (out_schema, Array.of_list grouped)
 
 let weighted_of_input ?deadline preds (i : Fragment.input) =
-  let filtered = Executor.filter_input ?deadline i in
+  let schema = i.Fragment.table.Table.schema in
   (* the grouping depends only on which of the input's columns the subset's
      predicates touch: cache per column-set signature *)
   let kept_sig =
-    cols_needed preds filtered.Table.schema
-    |> List.map Schema.column_id |> String.concat ","
+    cols_needed preds schema |> List.map Schema.column_id |> String.concat ","
   in
   Scratch.find_or_add i.Fragment.scratch weighted_slot ("w:" ^ kept_sig)
     (fun () ->
       let wschema, wrows =
-        group_by_needed preds filtered.Table.schema
-          (Seq.map (fun r -> (r, 1)) (Table.to_seq filtered))
+        group_by_needed preds schema
+          (Seq.map (fun r -> (r, 1)) (Array.to_seq (filtered_rows ?deadline i)))
       in
       { aliases = i.Fragment.provides; wschema; wrows })
 

@@ -1,8 +1,6 @@
 module Table = Qs_storage.Table
 module Schema = Qs_storage.Schema
 module Value = Qs_storage.Value
-module Chunk = Qs_storage.Chunk
-module Columnar = Qs_storage.Columnar
 module Expr = Qs_query.Expr
 module Logical = Qs_plan.Logical
 module Pool = Qs_util.Pool
@@ -118,45 +116,6 @@ let aggregate ?pool ~name ~group_by ~aggs (tbl : Table.t) =
         feed accs.(i) v)
       aggs
   in
-  (* Columnar hash aggregation: when every aggregate argument is absent
-     or a plain column reference, a columnar chunk feeds the hash table
-     from batch-decoded group-key and argument columns — one decode
-     sweep per column per chunk instead of per-row schema lookups. Any
-     arithmetic argument (or a row chunk) takes the row path. *)
-  let arg_cols =
-    List.map
-      (fun (a : Logical.agg) ->
-        match a.Logical.arg with
-        | None -> `Count
-        | Some (Expr.Col c) ->
-            `Col (Schema.find_exn schema ~rel:c.Expr.rel ~name:c.Expr.name)
-        | Some _ -> `Eval)
-      aggs
-  in
-  let batchable = List.for_all (fun c -> c <> `Eval) arg_cols in
-  let feed_chunk_data groups order (chunk : Chunk.t) =
-    match Chunk.columnar chunk with
-    | Some col when batchable ->
-        let n = Columnar.n_rows col in
-        let kcols = List.map (Columnar.column_values col) gpos in
-        let acols =
-          List.map
-            (function
-              | `Col p -> Some (Columnar.column_values col p)
-              | `Count | `Eval -> None)
-            arg_cols
-        in
-        for i = 0 to n - 1 do
-          let key = List.map (fun a -> a.(i)) kcols in
-          let accs = entry groups order key in
-          List.iteri
-            (fun ai av ->
-              feed accs.(ai)
-                (match av with Some a -> a.(i) | None -> Value.Int 1))
-            acols
-        done
-    | _ -> Array.iter (feed_row groups order) (Chunk.rows chunk)
-  in
   let groups, order =
     match pool with
     | Some pool when Pool.size pool > 1 && Table.n_chunks tbl > 1 ->
@@ -169,7 +128,7 @@ let aggregate ?pool ~name ~group_by ~aggs (tbl : Table.t) =
         let feed_chunk ci =
           let groups = Hashtbl.create 64 in
           let order = ref [] in
-          feed_chunk_data groups order (Table.chunk_data tbl ci);
+          Array.iter (feed_row groups order) (Table.chunk tbl ci);
           (groups, List.rev !order)
         in
         let parts =
@@ -194,7 +153,7 @@ let aggregate ?pool ~name ~group_by ~aggs (tbl : Table.t) =
     | _ ->
         let groups : (Value.t list, acc array) Hashtbl.t = Hashtbl.create 64 in
         let order = ref [] in
-        Table.iter_chunk_data (fun _ c -> feed_chunk_data groups order c) tbl;
+        Table.iter (feed_row groups order) tbl;
         (groups, order)
   in
   (* a global aggregate over an empty input still yields one row *)

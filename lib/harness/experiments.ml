@@ -623,16 +623,8 @@ let par_sweep s =
 (* Sharded storage: chunked scan/filter/aggregate wall-clock vs domains    *)
 (* ---------------------------------------------------------------------- *)
 
-(* Scoped layout override: [f] runs with the global default chunk layout
-   set to [layout]; the previous default is restored on the way out. *)
-let with_layout layout f =
-  let module Table = Qs_storage.Table in
-  let saved = Table.default_layout () in
-  Table.set_default_layout layout;
-  Fun.protect ~finally:(fun () -> Table.set_default_layout saved) f
-
 let scan_sweep s =
-  Report.section "Columnar storage: per-layout scan throughput";
+  Report.section "Chunked storage: scan throughput";
   let module Table = Qs_storage.Table in
   let module Schema = Qs_storage.Schema in
   let module Value = Qs_storage.Value in
@@ -642,9 +634,7 @@ let scan_sweep s =
   let module Logical = Qs_plan.Logical in
   let n = int_of_float (2_000_000.0 *. s.scale) in
   (* wide fact table: the selective filter touches one column out of
-     thirteen, so the row layout hauls whole boxed rows through the scan
-     while the columnar kernel reads one unboxed int array and gathers
-     only the survivors *)
+     thirteen, so the scan hauls whole boxed rows past the predicate *)
   let n_pad = 8 in
   let cats = [| "alpha"; "beta"; "gamma"; "delta" |] in
   let schema =
@@ -667,7 +657,7 @@ let scan_sweep s =
           |]
           (Array.init n_pad (fun k -> Value.Int (h lxor k))))
   in
-  (* ~2% selectivity: the vectorized path's best case *)
+  (* ~2% selectivity *)
   let filters = [ Expr.Cmp (Expr.Lt, Expr.col "f" "amount", Expr.vint 20) ] in
   let group_by = [ { Expr.rel = "f"; name = "grp" } ] in
   let aggs =
@@ -689,42 +679,16 @@ let scan_sweep s =
   in
   let par_domains = max 2 s.domains in
   let mrows wall = float_of_int n /. Float.max 1e-9 wall /. 1e6 in
-  let all_identical = ref true in
-  let rates = Hashtbl.create 4 in
-  let rows_out =
-    List.map
-      (fun layout ->
-        with_layout layout (fun () ->
-            let tbl = Table.create ~chunk_rows:65_536 ~name:"f" ~schema rows in
-            let v0 = Executor.vectorized_chunks () in
-            let seq_wall, filtered =
-              best_of_3 (fun () -> Executor.filter_table tbl filters)
-            in
-            let vec = (Executor.vectorized_chunks () - v0) / 3 in
-            let par_wall, par_filtered =
-              Qs_util.Pool.with_pool ~domains:par_domains (fun p ->
-                  best_of_3 (fun () -> Executor.filter_table ~pool:p tbl filters))
-            in
-            let agg_wall, agged =
-              best_of_3 (fun () -> Relop.aggregate ~name:"g" ~group_by ~aggs tbl)
-            in
-            let digest =
-              Runner.result_digest filtered ^ Runner.result_digest agged
-            in
-            if Runner.result_digest par_filtered <> Runner.result_digest filtered
-            then all_identical := false;
-            Hashtbl.replace rates (Table.layout_name layout)
-              (digest, mrows seq_wall);
-            [
-              Table.layout_name layout;
-              Report.seconds seq_wall;
-              Printf.sprintf "%.1f" (mrows seq_wall);
-              Report.seconds par_wall;
-              Printf.sprintf "%.1f" (mrows par_wall);
-              Report.seconds agg_wall;
-              string_of_int vec;
-            ]))
-      [ Table.Row; Table.Columnar ]
+  let tbl = Table.create ~chunk_rows:65_536 ~name:"f" ~schema rows in
+  let seq_wall, filtered =
+    best_of_3 (fun () -> Executor.filter_table tbl filters)
+  in
+  let par_wall, par_filtered =
+    Qs_util.Pool.with_pool ~domains:par_domains (fun p ->
+        best_of_3 (fun () -> Executor.filter_table ~pool:p tbl filters))
+  in
+  let agg_wall, _ =
+    best_of_3 (fun () -> Relop.aggregate ~name:"g" ~group_by ~aggs tbl)
   in
   Report.table
     ~title:
@@ -733,16 +697,21 @@ let scan_sweep s =
           group-by aggregate"
          n (5 + n_pad) par_domains)
     ~headers:
-      [ "layout"; "filter seq"; "Mrows/s"; Printf.sprintf "par(%d)" par_domains;
-        "Mrows/s"; "aggregate"; "vec chunks" ]
-    rows_out;
-  let d_row, r_row = Hashtbl.find rates "row" in
-  let d_col, r_col = Hashtbl.find rates "columnar" in
-  if d_row <> d_col then all_identical := false;
-  Printf.printf "columnar vs row filter throughput: %.2fx (sequential)\n"
-    (r_col /. Float.max 1e-9 r_row);
-  Printf.printf "filter+aggregate digests byte-identical across layouts: %s\n"
-    (if !all_identical then "yes" else "NO")
+      [ "filter seq"; "Mrows/s"; Printf.sprintf "par(%d)" par_domains;
+        "Mrows/s"; "aggregate" ]
+    [
+      [
+        Report.seconds seq_wall;
+        Printf.sprintf "%.1f" (mrows seq_wall);
+        Report.seconds par_wall;
+        Printf.sprintf "%.1f" (mrows par_wall);
+        Report.seconds agg_wall;
+      ];
+    ];
+  Printf.printf "filter digests byte-identical across pool widths: %s\n"
+    (if Runner.result_digest par_filtered = Runner.result_digest filtered
+     then "yes"
+     else "NO")
 
 (* ---------------------------------------------------------------------- *)
 (* Out-of-core: buffer-pool execution under memory pressure                *)
@@ -1130,11 +1099,9 @@ let pipeline_sweep s =
   Report.section
     "Pipelined execution: morsel-driven executor vs. full materialization";
   let module Executor = Qs_exec.Executor in
-  let module Table = Qs_storage.Table in
   let module Span = Qs_util.Span in
   let par_domains = max 2 s.domains in
   let identical = ref true in
-  let cross_layout = Hashtbl.create 16 in
   let shapes =
     [ ("chain", chain_catalog, chain_query); ("hub", hub_catalog, hub_query) ]
   in
@@ -1146,72 +1113,59 @@ let pipeline_sweep s =
   in
   let rows_out =
     List.concat_map
-      (fun layout ->
+      (fun n_rels ->
         List.concat_map
-          (fun n_rels ->
+          (fun (shape, catalog_of, query_of) ->
+            let q = query_of n_rels in
+            (* (storage, strategy, mode) grid; the spilled cases
+               rebuild the catalog inside the spill scope so base
+               tables and temps alike live behind the buffer pool *)
+            let case ~spilled ~strat mode =
+              let body () =
+                let cat = catalog_of s n_rels in
+                let registry = Qs_stats.Stats_registry.create cat in
+                Qs_util.Pool.with_pool ~domains:par_domains (fun pool ->
+                    let spans = Span.create () in
+                    let digest, wall, inter, reuses =
+                      engine_run ~pool ~spans ~strat ~mode registry q
+                    in
+                    ( digest,
+                      wall,
+                      inter,
+                      reuses,
+                      span_category_time spans Span.Pipeline,
+                      span_category_time spans Span.Breaker ))
+              in
+              if spilled then with_spill ~capacity:64 (fun _bp -> body ())
+              else body ()
+            in
             List.concat_map
-              (fun (shape, catalog_of, query_of) ->
-                let q = query_of n_rels in
-                (* (layout, storage, strategy, mode) grid; the spilled
-                   cases rebuild the catalog inside the spill scope so
-                   base tables and temps alike live behind the buffer
-                   pool, and the layout scope wraps everything so base
-                   tables and temps share the chunk layout under test *)
-                let case ~spilled ~strat mode =
-                  let body () =
-                    let cat = catalog_of s n_rels in
-                    let registry = Qs_stats.Stats_registry.create cat in
-                    Qs_util.Pool.with_pool ~domains:par_domains (fun pool ->
-                        let spans = Span.create () in
-                        let digest, wall, inter, reuses =
-                          engine_run ~pool ~spans ~strat ~mode registry q
-                        in
-                        ( digest,
-                          wall,
-                          inter,
-                          reuses,
-                          span_category_time spans Span.Pipeline,
-                          span_category_time spans Span.Breaker ))
-                  in
-                  with_layout layout (fun () ->
-                      if spilled then with_spill ~capacity:64 (fun _bp -> body ())
-                      else body ())
-                in
-                List.concat_map
-                  (fun spilled ->
-                    List.map
-                      (fun (sname, strat) ->
-                        let d_mat, w_mat, i_mat, _, _, _ =
-                          case ~spilled ~strat Executor.Materialize
-                        in
-                        let d_pipe, w_pipe, i_pipe, reuses, pipe_t, brk_t =
-                          case ~spilled ~strat Executor.Pipeline
-                        in
-                        if d_mat <> d_pipe then identical := false;
-                        (* the same (query, storage, strategy) case must
-                           digest identically under both layouts *)
-                        let key = (n_rels, shape, spilled, sname) in
-                        (match Hashtbl.find_opt cross_layout key with
-                        | None -> Hashtbl.replace cross_layout key d_pipe
-                        | Some d -> if d <> d_pipe then identical := false);
-                        [
-                          Printf.sprintf "%d %s" n_rels shape;
-                          Table.layout_name layout;
-                          (if spilled then "spilled" else "memory");
-                          sname;
-                          Report.seconds w_mat;
-                          Report.seconds w_pipe;
-                          Printf.sprintf "%.2fx" (w_mat /. Float.max 1e-9 w_pipe);
-                          Printf.sprintf "%d/%d" i_mat i_pipe;
-                          string_of_int reuses;
-                          Report.seconds pipe_t;
-                          Report.seconds brk_t;
-                        ])
-                      strategies)
-                  [ false; true ])
-              shapes)
-          [ 10; 12 ])
-      [ Table.Row; Table.Columnar ]
+              (fun spilled ->
+                List.map
+                  (fun (sname, strat) ->
+                    let d_mat, w_mat, i_mat, _, _, _ =
+                      case ~spilled ~strat Executor.Materialize
+                    in
+                    let d_pipe, w_pipe, i_pipe, reuses, pipe_t, brk_t =
+                      case ~spilled ~strat Executor.Pipeline
+                    in
+                    if d_mat <> d_pipe then identical := false;
+                    [
+                      Printf.sprintf "%d %s" n_rels shape;
+                      (if spilled then "spilled" else "memory");
+                      sname;
+                      Report.seconds w_mat;
+                      Report.seconds w_pipe;
+                      Printf.sprintf "%.2fx" (w_mat /. Float.max 1e-9 w_pipe);
+                      Printf.sprintf "%d/%d" i_mat i_pipe;
+                      string_of_int reuses;
+                      Report.seconds pipe_t;
+                      Report.seconds brk_t;
+                    ])
+                  strategies)
+              [ false; true ])
+          shapes)
+      [ 10; 12 ]
   in
   Report.table
     ~title:
@@ -1220,12 +1174,11 @@ let pipeline_sweep s =
           materializing/pipelined)"
          par_domains)
     ~headers:
-      [ "query"; "layout"; "storage"; "strategy"; "mat"; "pipe"; "speedup";
+      [ "query"; "storage"; "strategy"; "mat"; "pipe"; "speedup";
         "intermediates"; "part reuse"; "pipe t"; "brk t" ]
     rows_out;
   Printf.printf
-    "digests byte-identical across engines and layouts (resident and \
-     spilled): %s\n"
+    "digests byte-identical across engines (resident and spilled): %s\n"
     (if !identical then "yes" else "NO")
 
 (* The deterministic pipelined-execution entry of the metrics dump: one
@@ -1681,85 +1634,14 @@ let telemetry_metrics_entry s =
       Server.drain server;
       Telemetry.metrics (Server.telemetry server))
 
-(* The deterministic columnar-layout entry of the metrics dump: a fixed
-   synthetic table (ints with NULLs, floats, dictionary-friendly
-   strings) is built, filtered and aggregated sequentially under both
-   layouts. Chunk counts, vectorized-kernel invocations, survivor
-   counts, exact serialized chunk sizes (Chunk_file.ser_chunk_size)
-   and digest equality are integer-exact for a fixed
-   corpus; no wall-clock leaks into the entry. *)
-let columnar_metrics_entry _s =
-  let module Table = Qs_storage.Table in
-  let module Schema = Qs_storage.Schema in
-  let module Value = Qs_storage.Value in
-  let module Chunk_file = Qs_storage.Chunk_file in
-  let module Expr = Qs_query.Expr in
-  let module Executor = Qs_exec.Executor in
-  let module Relop = Qs_exec.Relop in
-  let module Logical = Qs_plan.Logical in
-  let schema =
-    Schema.make "c"
-      [
-        ("id", Value.TInt); ("grp", Value.TInt); ("amount", Value.TInt);
-        ("price", Value.TFloat); ("note", Value.TStr);
-      ]
-  in
-  let rows =
-    Array.init 16_384 (fun i ->
-        let h = (i * 2654435761) land 0x3fffffff in
-        [|
-          Value.Int i; Value.Int (h mod 31);
-          (if h mod 11 = 0 then Value.Null else Value.Int (h mod 1000));
-          Value.Float (float_of_int (h mod 256) /. 4.0);
-          Value.Str ("n" ^ string_of_int (h mod 7));
-        |])
-  in
-  let filters = [ Expr.Cmp (Expr.Lt, Expr.col "c" "amount", Expr.vint 500) ] in
-  let group_by = [ { Expr.rel = "c"; name = "grp" } ] in
-  let aggs =
-    [
-      { Logical.fn = Logical.Sum; arg = Some (Expr.col "c" "amount"); label = "total" };
-      { Logical.fn = Logical.Count_star; arg = None; label = "n" };
-    ]
-  in
-  let run layout =
-    with_layout layout (fun () ->
-        let tbl = Table.create ~chunk_rows:1024 ~name:"c" ~schema rows in
-        let v0 = Executor.vectorized_chunks () in
-        let filtered = Executor.filter_table tbl filters in
-        let agged = Relop.aggregate ~name:"g" ~group_by ~aggs tbl in
-        let vec = Executor.vectorized_chunks () - v0 in
-        let ser = ref 0 in
-        Table.iter_chunk_data
-          (fun _ c -> ser := !ser + Chunk_file.ser_chunk_size c)
-          tbl;
-        ( Runner.result_digest filtered ^ Runner.result_digest agged,
-          Table.n_rows filtered,
-          vec,
-          !ser,
-          Table.n_chunks tbl ))
-  in
-  let d_row, kept_row, _, ser_row, chunks = run Table.Row in
-  let d_col, kept_col, vec, ser_col, _ = run Table.Columnar in
-  let m = Qs_obs.Metrics.create () in
-  let c name v = Qs_obs.Metrics.incr ~by:v m name in
-  c "columnar_chunks" chunks;
-  c "vectorized_chunks" vec;
-  c "filter_survivors" kept_col;
-  c "ser_bytes_row" ser_row;
-  c "ser_bytes_columnar" ser_col;
-  c "digests_identical" (if d_row = d_col && kept_row = kept_col then 1 else 0);
-  m
-
 (* All committed-baseline flavours from ONE harness run: the
-   fig11-roster-only dump (the PR-5-era content, [--baseline-out]), the
-   same plus the ["serve"] entry (PR 6, [--serve-out]), additionally the
-   ["io"] buffer-pool entry (PR 7, [--io-out]), additionally the
-   ["pipeline"] executor-engine entry (PR 8, [--pipeline-out]),
-   additionally the ["telemetry"] serving-recorder entry (PR 9,
-   [--telemetry-out]) and additionally the ["columnar"] layout entry
-   (PR 10, [--metrics-out]). Shared entries are byte-identical across
-   the six, so full — histograms included — bench_diffs between the
+   fig11-roster-only dump ([--baseline-out]), the same plus the
+   ["serve"] entry ([--serve-out]), additionally the ["io"] buffer-pool
+   entry ([--io-out]), additionally the ["pipeline"] executor-engine
+   entry ([--pipeline-out]), and additionally the ["telemetry"]
+   serving-recorder entry ([--telemetry-out]; [--metrics-out] writes
+   the same full dump). Shared entries are byte-identical across the
+   five, so full — histograms included — bench_diffs between the
    committed files are meaningful. *)
 let metrics_json_flavors s =
   let labelled = metrics_results s in
@@ -1767,15 +1649,11 @@ let metrics_json_flavors s =
   let io = ("io", io_metrics_entry s) in
   let pipeline = ("pipeline", pipeline_metrics_entry s) in
   let telemetry = ("telemetry", telemetry_metrics_entry s) in
-  let columnar = ("columnar", columnar_metrics_entry s) in
   ( json_of_labelled s labelled,
     json_of_labelled ~extra:[ serve ] s labelled,
     json_of_labelled ~extra:[ serve; io ] s labelled,
     json_of_labelled ~extra:[ serve; io; pipeline ] s labelled,
-    json_of_labelled ~extra:[ serve; io; pipeline; telemetry ] s labelled,
-    json_of_labelled
-      ~extra:[ serve; io; pipeline; telemetry; columnar ]
-      s labelled )
+    json_of_labelled ~extra:[ serve; io; pipeline; telemetry ] s labelled )
 
 let metrics_json s =
   json_of_labelled
@@ -1785,7 +1663,6 @@ let metrics_json s =
         ("io", io_metrics_entry s);
         ("pipeline", pipeline_metrics_entry s);
         ("telemetry", telemetry_metrics_entry s);
-        ("columnar", columnar_metrics_entry s);
       ]
     s (metrics_results s)
 

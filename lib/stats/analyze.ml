@@ -1,6 +1,4 @@
 module Table = Qs_storage.Table
-module Chunk = Qs_storage.Chunk
-module Columnar = Qs_storage.Columnar
 
 let default_sample = 8192
 
@@ -8,9 +6,7 @@ let default_sample = 8192
    stats are reproducible. Sampling is per chunk with a proportional
    quota — the telescoping [stop*sample/n - start*sample/n] quotas sum
    exactly to [sample], and a single-chunk table degenerates to one
-   global stride. Columnar chunks are read straight from their column
-   arrays (the whole column when the quota is dense, point gets
-   otherwise) — no row materialization on either layout. *)
+   global stride. *)
 let sample_columns (tbl : Table.t) sample =
   let n = Table.n_rows tbl in
   let arity = Array.length tbl.Table.schema in
@@ -27,26 +23,15 @@ let sample_columns (tbl : Table.t) sample =
   in
   let parts = Array.init arity (fun _ -> ref []) in
   let sample_n = ref 0 in
-  Table.iter_chunk_data
-    (fun ci chunk ->
-      let len = Chunk.n_rows chunk in
+  Table.iter_chunks
+    (fun ci rows ->
+      let len = Array.length rows in
       let sel = picks ci len in
       if Array.length sel > 0 then begin
         sample_n := !sample_n + Array.length sel;
-        match Chunk.columnar chunk with
-        | Some col ->
-            for j = 0 to arity - 1 do
-              let vals =
-                if Array.length sel = len then Columnar.column_values col j
-                else Array.map (fun i -> Columnar.get col ~row:i ~col:j) sel
-              in
-              parts.(j) := vals :: !(parts.(j))
-            done
-        | None ->
-            let rows = Chunk.rows chunk in
-            for j = 0 to arity - 1 do
-              parts.(j) := Array.map (fun i -> rows.(i).(j)) sel :: !(parts.(j))
-            done
+        for j = 0 to arity - 1 do
+          parts.(j) := Array.map (fun i -> rows.(i).(j)) sel :: !(parts.(j))
+        done
       end)
     tbl;
   (!sample_n, Array.map (fun p -> Array.concat (List.rev !p)) parts)

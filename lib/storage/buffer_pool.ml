@@ -35,7 +35,7 @@ type stats = {
   prefetch_wasted : int;
 }
 
-type state = Queued | Loading | Loaded of Chunk.t
+type state = Queued | Loading | Loaded of Value.t array array
 
 type frame = {
   file : Chunk_file.t;

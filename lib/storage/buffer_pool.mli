@@ -1,8 +1,7 @@
 (** Bounded buffer pool of resident chunk frames.
 
-    The faulting read path of spilled tables: {!get} returns a chunk
-    (in whichever layout it was spilled with), reading it from the
-    {!Chunk_file} on a miss and caching it in one of [capacity] frames
+    The faulting read path of spilled tables: {!get} returns a chunk's
+    rows, reading them from the {!Chunk_file} on a miss and caching it in one of [capacity] frames
     under CLOCK (second-chance) eviction. Pinned frames ({!with_pin}) are never evicted; when every
     frame is pinned or mid-read, a miss bypasses the pool and reads
     uncached, so correctness never depends on capacity — a pool of 1
@@ -50,12 +49,12 @@ val set_tracer : t -> Qs_util.Span.t option -> unit
 (** With a tracer attached, every disk read records an [io] span
     (names [fault] / [prefetch]) on the reading domain's track. *)
 
-val get : t -> Chunk_file.t -> int -> Chunk.t
+val get : t -> Chunk_file.t -> int -> Value.t array array
 (** [get t file i] returns chunk [i], faulting it in on a miss. The
     returned chunk is shared — do not mutate. It stays valid after
     eviction (the GC keeps it alive while referenced). *)
 
-val with_pin : t -> Chunk_file.t -> int -> (Chunk.t -> 'a) -> 'a
+val with_pin : t -> Chunk_file.t -> int -> (Value.t array array -> 'a) -> 'a
 (** [with_pin t file i f] runs [f chunk] with the frame pinned, so a
     scan's current chunk cannot be evicted under it. The pin is
     released on return and on exception (cancellation-safe); a bypass

@@ -3,23 +3,17 @@
    chunk, so a frame's offset is a multiplication away and faulting a
    chunk is a single seek + read.
 
-     header  : magic "QSCF0002" | n_frames | frame_size | arity   (32 B)
-     frame i : n_rows | used_bytes | layout byte | payload,
+     header  : magic "QSCF0003" | n_frames | frame_size | arity   (32 B)
+     frame i : n_rows | used_bytes | payload,
                zero-padded to frame_size                          (16 B hdr)
 
-   All integers are 8-byte big-endian unless noted. A frame's payload
-   starts with a layout byte — 0 for a row-major chunk (tagged values,
-   row-major order), 1 for a column-major chunk (per-column blocks, see
-   below) — so either layout round-trips exactly through the same file
-   and a spilled columnar table faults back in columnar. Floats ship as
-   their IEEE bits, so a reloaded chunk is value-for-value identical to
-   the spilled one (digest parity).
+   All integers are 8-byte big-endian unless noted. The payload is the
+   chunk's tagged values in row-major order. Floats ship as their IEEE
+   bits, so a reloaded chunk is value-for-value identical to the
+   spilled one (digest parity).
 
-   The frame size is computed from the largest *serialized* chunk under
-   its own layout ([ser_chunk_size], exact by construction): a
-   dictionary-heavy string column can serialize larger than its row
-   form (dict entries + 4-byte codes vs inline strings), so sizing from
-   the row form would overflow frames.
+   The frame size is computed from the largest serialized chunk (exact
+   by construction: [ser_size] matches [put_value] byte for byte).
 
    Reads open/seek/read/close per fault: no persistent file descriptors
    means no fd-per-table exhaustion and nothing to guard across domains
@@ -33,7 +27,7 @@ type t = {
   arity : int;
 }
 
-let magic = "QSCF0002"
+let magic = "QSCF0003"
 let header_size = 32
 let frame_header_size = 16
 let next_id = Atomic.make 0
@@ -96,165 +90,6 @@ let get_value path b pos =
       Value.Str s
   | _ -> corrupt path "value tag"
 
-(* --- columnar serialization --------------------------------------------- *)
-
-(* Per-column block:
-     tag byte ('I' int | 'F' float | 'B' bool | 'S' string dict | 'G' generic)
-     nulls    : flag byte (0 = none), then ceil(n/8) bitset bytes if 1
-                (generic columns carry no bitset — NULLs are inline)
-     data     : I/F  8n bytes (i64 BE / IEEE bits)
-                B    n bytes
-                S    i32 dict count | per entry: i32 len + bytes | 4n i32 codes
-                G    n tagged values *)
-
-let nulls_ser_size n = function
-  | None -> 1
-  | Some _ -> 1 + ((n + 7) / 8)
-
-let ser_col_size n (c : Columnar.column) =
-  match c with
-  | Columnar.CInt (_, nl) | Columnar.CFloat (_, nl) ->
-      1 + nulls_ser_size n nl + (8 * n)
-  | Columnar.CBool (_, nl) -> 1 + nulls_ser_size n nl + n
-  | Columnar.CStr { dict; nulls; _ } ->
-      1 + nulls_ser_size n nulls + 4
-      + Array.fold_left (fun acc s -> acc + 4 + String.length s) 0 dict
-      + (4 * n)
-  | Columnar.CGen vs ->
-      1 + 1 + Array.fold_left (fun acc v -> acc + ser_size v) 0 vs
-
-(* Exact serialized payload size of a chunk under its own layout,
-   layout byte included. This — not the row-form size — drives the
-   frame size: a dictionary-heavy string column (many distinct values,
-   so dict entries + 4-byte codes exceed the inline strings) serializes
-   larger columnar than row-major. *)
-let ser_chunk_size (chunk : Chunk.t) =
-  match chunk with
-  | Chunk.Rows rows ->
-      1
-      + Array.fold_left
-          (fun acc row ->
-            Array.fold_left (fun acc v -> acc + ser_size v) acc row)
-          0 rows
-  | Chunk.Cols c ->
-      let n = Columnar.n_rows c in
-      Array.fold_left
-        (fun acc col -> acc + ser_col_size n col)
-        1 (Columnar.columns c)
-
-let put_nulls buf n nl =
-  match nl with
-  | None -> Buffer.add_char buf '\000'
-  | Some b ->
-      Buffer.add_char buf '\001';
-      Buffer.add_subbytes buf b 0 ((n + 7) / 8)
-
-let put_column buf n (c : Columnar.column) =
-  match c with
-  | Columnar.CInt (a, nl) ->
-      Buffer.add_char buf 'I';
-      put_nulls buf n nl;
-      Array.iter (fun v -> Buffer.add_int64_be buf (Int64.of_int v)) a
-  | Columnar.CFloat (a, nl) ->
-      Buffer.add_char buf 'F';
-      put_nulls buf n nl;
-      Array.iter (fun v -> Buffer.add_int64_be buf (Int64.bits_of_float v)) a
-  | Columnar.CBool (a, nl) ->
-      Buffer.add_char buf 'B';
-      put_nulls buf n nl;
-      Array.iter (fun v -> Buffer.add_char buf (if v then '\001' else '\000')) a
-  | Columnar.CStr { dict; codes; nulls } ->
-      Buffer.add_char buf 'S';
-      put_nulls buf n nulls;
-      Buffer.add_int32_be buf (Int32.of_int (Array.length dict));
-      Array.iter
-        (fun s ->
-          Buffer.add_int32_be buf (Int32.of_int (String.length s));
-          Buffer.add_string buf s)
-        dict;
-      Array.iter (fun c -> Buffer.add_int32_be buf (Int32.of_int c)) codes
-  | Columnar.CGen vs ->
-      Buffer.add_char buf 'G';
-      Buffer.add_char buf '\000';
-      Array.iter (put_value buf) vs
-
-let put_chunk buf (chunk : Chunk.t) =
-  match chunk with
-  | Chunk.Rows rows ->
-      Buffer.add_char buf '\000';
-      Array.iter (fun row -> Array.iter (put_value buf) row) rows
-  | Chunk.Cols c ->
-      Buffer.add_char buf '\001';
-      let n = Columnar.n_rows c in
-      Array.iter (put_column buf n) (Columnar.columns c)
-
-let get_nulls path b pos n =
-  let flag = Bytes.get b !pos in
-  incr pos;
-  match flag with
-  | '\000' -> None
-  | '\001' ->
-      let len = (n + 7) / 8 in
-      if !pos + len > Bytes.length b then corrupt path "null bitset";
-      let bits = Bytes.sub b !pos len in
-      pos := !pos + len;
-      Some bits
-  | _ -> corrupt path "null flag"
-
-let get_column path b pos n : Columnar.column =
-  let tag = Bytes.get b !pos in
-  incr pos;
-  match tag with
-  | 'I' ->
-      let nl = get_nulls path b pos n in
-      let a =
-        Array.init n (fun i -> Int64.to_int (Bytes.get_int64_be b (!pos + (8 * i))))
-      in
-      pos := !pos + (8 * n);
-      Columnar.CInt (a, nl)
-  | 'F' ->
-      let nl = get_nulls path b pos n in
-      let a =
-        Array.init n (fun i ->
-            Int64.float_of_bits (Bytes.get_int64_be b (!pos + (8 * i))))
-      in
-      pos := !pos + (8 * n);
-      Columnar.CFloat (a, nl)
-  | 'B' ->
-      let nl = get_nulls path b pos n in
-      let a = Array.init n (fun i -> Bytes.get b (!pos + i) <> '\000') in
-      pos := !pos + n;
-      Columnar.CBool (a, nl)
-  | 'S' ->
-      let nulls = get_nulls path b pos n in
-      let count = Int32.to_int (Bytes.get_int32_be b !pos) in
-      pos := !pos + 4;
-      if count < 0 then corrupt path "dict size";
-      let dict =
-        Array.init count (fun _ ->
-            let len = Int32.to_int (Bytes.get_int32_be b !pos) in
-            pos := !pos + 4;
-            if len < 0 || !pos + len > Bytes.length b then
-              corrupt path "dict entry length";
-            let s = Bytes.sub_string b !pos len in
-            pos := !pos + len;
-            s)
-      in
-      let codes =
-        Array.init n (fun i -> Int32.to_int (Bytes.get_int32_be b (!pos + (4 * i))))
-      in
-      pos := !pos + (4 * n);
-      Array.iter
-        (fun c ->
-          if (c < 0 || c >= count) && not (count = 0 && c = 0) then
-            corrupt path "dict code")
-        codes;
-      Columnar.CStr { dict; codes; nulls }
-  | 'G' ->
-      incr pos (* unused nulls flag byte *);
-      Columnar.CGen (Array.init n (fun _ -> get_value path b pos))
-  | _ -> corrupt path "column tag"
-
 (* --- writing ------------------------------------------------------------ *)
 
 let sanitize name =
@@ -274,17 +109,22 @@ let write ~dir ~name ~arity chunks =
   if n = 0 then invalid_arg "Chunk_file.write: no chunks";
   (* pass 1: serialized + logical sizes; a zero-row frame would make the
      offset table ambiguous under faulting, so the writer rejects what
-     Table.of_chunk_array should already have normalized away *)
+     Table construction should already have normalized away *)
   let logical = Array.make n 0 in
   let max_ser = ref 0 in
   Array.iteri
-    (fun i chunk ->
-      if Chunk.n_rows chunk = 0 then
+    (fun i rows ->
+      if Array.length rows = 0 then
         invalid_arg
           (Printf.sprintf "Chunk_file.write %s: empty chunk %d" name i);
-      logical.(i) <- Chunk.byte_size chunk;
-      let ser = ser_chunk_size chunk in
-      if ser > !max_ser then max_ser := ser)
+      let ser = ref 0 and bytes = ref 0 in
+      Array.iter
+        (Array.iter (fun v ->
+             ser := !ser + ser_size v;
+             bytes := !bytes + Value.byte_size v))
+        rows;
+      logical.(i) <- !bytes;
+      if !ser > !max_ser then max_ser := !ser)
     chunks;
   let frame_size = frame_header_size + !max_ser in
   let id = Atomic.fetch_and_add next_id 1 in
@@ -298,11 +138,11 @@ let write ~dir ~name ~arity chunks =
          frame start zero-extends, so short frames need no explicit pad *)
       let buf = Buffer.create (min !max_ser 65536) in
       Array.iteri
-        (fun i chunk ->
+        (fun i rows ->
           Out_channel.seek oc (Int64.of_int (header_size + (i * frame_size)));
           Buffer.clear buf;
-          put_chunk buf chunk;
-          put_i64 oc (Chunk.n_rows chunk);
+          Array.iter (Array.iter (put_value buf)) rows;
+          put_i64 oc (Array.length rows);
           put_i64 oc (Buffer.length buf);
           Out_channel.output_string oc (Buffer.contents buf))
         chunks);
@@ -324,27 +164,19 @@ let read t i =
       let n_rows = get_i64 hdr 0 in
       let used = get_i64 hdr 8 in
       if n_rows <= 0 then corrupt t.path "zero-row frame";
-      if used < 1 || used > t.frame_size - frame_header_size then
+      (* every value serializes to at least one byte *)
+      if used < t.arity || used > t.frame_size - frame_header_size then
         corrupt t.path "frame payload size";
       let payload = Bytes.create used in
       (match In_channel.really_input ic payload 0 used with
       | Some () -> ()
       | None -> corrupt t.path "truncated frame payload");
-      let pos = ref 1 in
-      let chunk =
-        match Bytes.get payload 0 with
-        | '\000' ->
-            Chunk.of_rows
-              (Array.init n_rows (fun _ ->
-                   Array.init t.arity (fun _ -> get_value t.path payload pos)))
-        | '\001' ->
-            let cols =
-              Array.init t.arity (fun _ -> get_column t.path payload pos n_rows)
-            in
-            Chunk.of_columnar (Columnar.of_parts ~len:n_rows cols)
-        | _ -> corrupt t.path "layout byte"
+      let pos = ref 0 in
+      let rows =
+        Array.init n_rows (fun _ ->
+            Array.init t.arity (fun _ -> get_value t.path payload pos))
       in
       if !pos <> used then corrupt t.path "frame payload trailer";
-      chunk)
+      rows)
 
 let remove t = try Sys.remove t.path with Sys_error _ -> ()

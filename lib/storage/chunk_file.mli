@@ -2,11 +2,9 @@
 
     One write-once binary file per spilled table: a header plus one
     fixed-size frame per chunk, so faulting chunk [i] is a single
-    seek + read at [header + i * frame_size]. Each frame is tagged with
-    its chunk's layout (row-major or column-major) and round-trips it
-    exactly — floats through their IEEE bits, string dictionaries
-    entry-for-entry — which keeps out-of-core result digests
-    byte-identical to in-memory execution under either layout.
+    seek + read at [header + i * frame_size]. Frames round-trip their
+    rows exactly — floats through their IEEE bits — which keeps
+    out-of-core result digests byte-identical to in-memory execution.
 
     Reads open and close the file per call: no persistent descriptors,
     so concurrent faults from several domains need no coordination here
@@ -14,28 +12,20 @@
 
 type t
 
-val ser_chunk_size : Chunk.t -> int
-(** Exact serialized payload size of a chunk under its own layout
-    (layout tag byte included). [write] sizes frames from the maximum of
-    this over all chunks — not from the row-form size, which a
-    dictionary-heavy string column (dict entries + 4-byte codes larger
-    than the inline strings) can exceed. Exposed for the frame-sizing
-    regression test. *)
-
-val write : dir:string -> name:string -> arity:int -> Chunk.t array -> t * int array
-(** [write ~dir ~name ~arity chunks] spills the chunks (in whichever
-    layout each one is) to a fresh uniquely-named file under [dir] and
-    returns the handle plus each chunk's logical byte size
-    ({!Chunk.byte_size}, computed during the serialization walk so
-    {!Table.byte_size} never faults). Raises [Invalid_argument] on an
+val write : dir:string -> name:string -> arity:int ->
+  Value.t array array array -> t * int array
+(** [write ~dir ~name ~arity chunks] spills the chunks (each a row
+    array) to a fresh uniquely-named file under [dir] and returns the
+    handle plus each chunk's logical byte size (the {!Value.byte_size}
+    sum, computed during the serialization walk so {!Table.byte_size}
+    never faults). Raises [Invalid_argument] on an
     empty chunk array or any zero-row chunk: a spilled frame must never
     be empty, or chunk faulting could map a row offset to a zero-length
     frame. *)
 
-val read : t -> int -> Chunk.t
-(** [read t i] faults frame [i] back in (open, seek, read, close) in
-    the layout it was written with. Safe to call concurrently from any
-    domain. *)
+val read : t -> int -> Value.t array array
+(** [read t i] faults frame [i]'s rows back in (open, seek, read,
+    close). Safe to call concurrently from any domain. *)
 
 val id : t -> int
 (** Process-unique id, the buffer pool's cache key. *)

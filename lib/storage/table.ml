@@ -14,7 +14,7 @@
    engine runs fully out-of-core. *)
 
 type store =
-  | Resident of Chunk.t array
+  | Resident of Value.t array array array
   | Spilled of { file : Chunk_file.t; bp : Buffer_pool.t }
 
 (* Hash-partition layout carried by tables whose chunks were emitted
@@ -43,31 +43,12 @@ type t = {
   partitioning : partitioning option;
 }
 
-(* Default rows per chunk. Set once at startup (--chunk-rows); ints are
+(* Default chunk size in rows. Set once at startup (--chunk-rows); ints are
    immediate, so a racy read at worst sees the old default. *)
 let default_chunk = ref 65_536
 
 let default_chunk_rows () = !default_chunk
 let set_default_chunk_rows n = default_chunk := max 1 n
-
-(* Global chunk layout. [Row] keeps the classic boxed row arrays;
-   [Columnar] stores every subsequently built table column-major
-   (unboxed int/float arrays, dictionary strings, validity bitsets),
-   which the executor's vectorized kernels exploit. Like the chunk-row
-   default this is set once at startup (--layout) or toggled around a
-   test body; construction reads it once per table, and tables built
-   under different settings coexist (the layout is per chunk). *)
-type layout = Row | Columnar
-
-let default_layout_ref = ref Row
-let default_layout () = !default_layout_ref
-let set_default_layout l = default_layout_ref := l
-let layout_name = function Row -> "row" | Columnar -> "columnar"
-
-let layout_of_string = function
-  | "row" -> Some Row
-  | "columnar" | "col" -> Some Columnar
-  | _ -> None
 
 (* Global spill mode: a scratch directory and the buffer pool shared by
    every spilled table. Set once at startup (--spill-dir) or toggled
@@ -91,19 +72,19 @@ let offsets_of_chunks chunks =
   let nc = Array.length chunks in
   let offsets = Array.make (nc + 1) 0 in
   for i = 0 to nc - 1 do
-    offsets.(i + 1) <- offsets.(i) + Chunk.n_rows chunks.(i)
+    offsets.(i + 1) <- offsets.(i) + Array.length chunks.(i)
   done;
   offsets
 
-let of_chunk_data_array ~name ~schema (chunks : Chunk.t array) =
+let of_chunk_array ~name ~schema (chunks : Value.t array array array) =
   (* every construction path funnels through here, so degenerate inputs
      are normalized in exactly one place: zero-row chunks are dropped
      (keeping offsets strictly increasing) and can therefore never reach
      the chunk-file writer as a zero-length frame *)
   let chunks =
-    if Array.exists (fun c -> Chunk.n_rows c = 0) chunks then
+    if Array.exists (fun c -> Array.length c = 0) chunks then
       Array.of_list
-        (List.filter (fun c -> Chunk.n_rows c > 0) (Array.to_list chunks))
+        (List.filter (fun c -> Array.length c > 0) (Array.to_list chunks))
     else chunks
   in
   let offsets = offsets_of_chunks chunks in
@@ -129,20 +110,6 @@ let of_chunk_data_array ~name ~schema (chunks : Chunk.t array) =
         chunk_bytes = Array.make (Array.length chunks) (-1);
         partitioning = None;
       }
-
-let of_chunk_data ~name ~schema chunks =
-  of_chunk_data_array ~name ~schema (Array.of_list chunks)
-
-(* Row-chunk construction: each chunk is (re)encoded per the global
-   layout default, so flipping [--layout columnar] columnarizes every
-   subsequently built table without touching any call site. *)
-let encode_chunk rows =
-  match !default_layout_ref with
-  | Row -> Chunk.of_rows rows
-  | Columnar -> Chunk.of_columnar (Columnar.of_rows rows)
-
-let of_chunk_array ~name ~schema chunks =
-  of_chunk_data_array ~name ~schema (Array.map encode_chunk chunks)
 
 let create ?chunk_rows ~name ~schema rows =
   check_arity ~name ~schema rows;
@@ -243,14 +210,10 @@ let n_chunks t = Array.length t.offsets - 1
 let n_rows t = t.offsets.(n_chunks t)
 let spilled t = match t.store with Spilled _ -> true | Resident _ -> false
 
-let chunk_data t i =
+let chunk t i =
   match t.store with
   | Resident chunks -> chunks.(i)
   | Spilled { file; bp } -> Buffer_pool.get bp file i
-
-(* Row view of chunk [i]; decodes a columnar chunk, so layout-aware
-   consumers should prefer [chunk_data] / [iter_chunk_data]. *)
-let chunk t i = Chunk.rows (chunk_data t i)
 
 let chunk_offset t i = t.offsets.(i)
 let chunk_list t = List.init (n_chunks t) (chunk t)
@@ -260,7 +223,7 @@ let chunk_list t = List.init (n_chunks t) (chunk t)
    release on exception, so cancellation mid-scan leaks nothing) and the
    next chunks are prefetched through the pool's I/O workers so disk
    reads overlap the consumer's CPU work. *)
-let scan_chunk_data t f =
+let scan_chunks t f =
   match t.store with
   | Resident chunks -> Array.iteri f chunks
   | Spilled { file; bp } ->
@@ -273,8 +236,6 @@ let scan_chunk_data t f =
         Buffer_pool.with_pin bp file ci (fun chunk -> f ci chunk)
       done
 
-let iter_chunk_data f t = scan_chunk_data t f
-let scan_chunks t f = scan_chunk_data t (fun ci c -> f ci (Chunk.rows c))
 let iter_chunks f t = scan_chunks t f
 let iter f t = scan_chunks t (fun _ rows -> Array.iter f rows)
 
@@ -311,7 +272,7 @@ let chunk_of_row t i =
 
 let row t i =
   let ci = chunk_of_row t i in
-  Chunk.row (chunk_data t ci) (i - t.offsets.(ci))
+  (chunk t ci).(i - t.offsets.(ci))
 
 let get t ~row:r ~col = (row t r).(col)
 
@@ -327,7 +288,11 @@ let chunk_byte_size t i =
     (* only a Resident chunk can be unmemoized: the chunk-file writer
        computes logical sizes during its serialization walk, so spilled
        tables never fault for accounting *)
-    let b = Chunk.byte_size (chunk_data t i) in
+    let b =
+      Array.fold_left
+        (Array.fold_left (fun acc v -> acc + Value.byte_size v))
+        0 (chunk t i)
+    in
     (* memo write is racy across domains but idempotent: both sides
        compute the same immediate int *)
     t.chunk_bytes.(i) <- b;

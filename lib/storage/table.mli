@@ -1,5 +1,5 @@
-(** Tables sharded into fixed-size chunks — row-major or column-major
-    per the global {!layout} — resident in memory or spilled to disk.
+(** Tables sharded into fixed-size row chunks, resident in memory or
+    spilled to disk.
 
     Tables are immutable after construction; the engine materializes
     intermediate results as fresh tables. Rows live in chunks of at most
@@ -7,11 +7,7 @@
     table), so very large tables are never one allocation and scans,
     filters and aggregations can run per-chunk on a domain pool. Row
     order is chunk order: iterating chunks in index order visits exactly
-    the row order [create] was given. Under the [Columnar] layout each
-    chunk is stored one unboxed array per column ({!Columnar.t});
-    the row-oriented API below still works (it decodes on access), while
-    layout-aware consumers use {!chunk_data} / {!iter_chunk_data} to
-    reach the columns directly.
+    the row order [create] was given.
 
     With spill mode enabled ({!set_spill}), every newly built table
     writes its chunks to a {!Chunk_file} and the chunk API becomes a
@@ -65,25 +61,6 @@ val default_chunk_rows : unit -> int
 val set_default_chunk_rows : int -> unit
 (** Set the global default (clamped to >= 1). Intended to be called once
     at startup (the [--chunk-rows] flag), before tables are built. *)
-
-type layout = Row | Columnar
-(** Chunk layout for newly built tables. [Row]: boxed row arrays
-    (the classic representation). [Columnar]: column-major chunks with
-    unboxed scalar arrays, dictionary-encoded strings and validity
-    bitsets, exploited by the executor's vectorized kernels. Results
-    are value-identical either way ({!digest} is layout-invariant). *)
-
-val default_layout : unit -> layout
-
-val set_default_layout : layout -> unit
-(** Set the global layout for subsequently built tables (the [--layout]
-    flag). Tables built under different settings coexist — the layout
-    is recorded per chunk, including through spill files. *)
-
-val layout_name : layout -> string
-
-val layout_of_string : string -> layout option
-(** ["row"] / ["columnar"] (or ["col"]); [None] otherwise. *)
 
 val set_spill : (string * Buffer_pool.t) option -> unit
 (** [set_spill (Some (dir, pool))] turns on out-of-core mode: every
@@ -147,27 +124,10 @@ val n_chunks : t -> int
 
 val chunk : t -> int -> Value.t array array
 (** The rows of one chunk (shared, do not mutate). On a spilled table
-    this faults the frame in through the buffer pool. On a columnar
-    chunk this decodes — layout-aware consumers should use
-    {!chunk_data}. *)
-
-val chunk_data : t -> int -> Chunk.t
-(** One chunk in its stored layout (shared, do not mutate). Faults
-    through the buffer pool on a spilled table. *)
-
-val of_chunk_data : name:string -> schema:Schema.t -> Chunk.t list -> t
-(** Concatenation of pre-built chunks in whichever layout each already
-    has — the constructor for operator outputs that want to preserve
-    their input's layout (a columnar filter keeps its gathered columns
-    columnar) rather than re-encode per the global default. Empty
-    chunks are dropped; chunk arity is the caller's obligation. *)
-
-val iter_chunk_data : (int -> Chunk.t -> unit) -> t -> unit
-(** {!iter_chunks} without the row decode: visit every chunk in its
-    stored layout. Same pinning and prefetching behaviour. *)
+    this faults the frame in through the buffer pool. *)
 
 val chunk_offset : t -> int -> int
-(** Global row id of the first row of the given chunk. *)
+(** Global row id of the first row of the chunk with the given index. *)
 
 val chunk_list : t -> Value.t array array list
 (** All chunks in row order (shared arrays). *)
@@ -210,7 +170,7 @@ val byte_size : t -> int
     calls are O(n_chunks). *)
 
 val chunk_byte_size : t -> int -> int
-(** Memoized byte size of one chunk. *)
+(** Memoized byte size of the chunk with the given index. *)
 
 val rename : t -> string -> t
 (** New table sharing chunks (and byte-size memo), with the given name

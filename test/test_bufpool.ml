@@ -7,7 +7,6 @@
 module Value = Qs_storage.Value
 module Schema = Qs_storage.Schema
 module Table = Qs_storage.Table
-module Chunk = Qs_storage.Chunk
 module Chunk_file = Qs_storage.Chunk_file
 module Buffer_pool = Qs_storage.Buffer_pool
 module Catalog = Qs_storage.Catalog
@@ -58,11 +57,6 @@ let with_chunk_rows n f =
   Table.set_default_chunk_rows n;
   Fun.protect ~finally:(fun () -> Table.set_default_chunk_rows saved) f
 
-let with_layout layout f =
-  let saved = Table.default_layout () in
-  Table.set_default_layout layout;
-  Fun.protect ~finally:(fun () -> Table.set_default_layout saved) f
-
 let schema2 name = Schema.make name [ ("id", Value.TInt); ("v", Value.TStr) ]
 
 let mk_rows n = Array.init n (fun i -> [| Value.Int i; Value.Str (string_of_int (i * 7)) |])
@@ -90,17 +84,18 @@ let test_chunk_file_roundtrip () =
         [| Value.Str "a\x00b"; Value.Bool true; Value.Int 0; Value.Float infinity |];
         [| Value.Str "snake"; Value.Bool false; Value.Int 7; Value.Float 1e-300 |];
         [| Value.Null; Value.Null; Value.Null; Value.Null |];
+        [| Value.Str "snake"; Value.Null; Value.Int (-7); Value.Float neg_infinity |];
+        [| Value.Str "a\x00b"; Value.Bool true; Value.Null; Value.Float 0.0 |];
       |];
     |]
   in
   let file, logical =
-    Chunk_file.write ~dir ~name:"round trip!" ~arity:4
-      (Array.map Chunk.of_rows chunks)
+    Chunk_file.write ~dir ~name:"round trip!" ~arity:4 chunks
   in
   Alcotest.(check int) "frames" 3 (Chunk_file.n_frames file);
   Array.iteri
     (fun i chunk ->
-      let got = Chunk.rows (Chunk_file.read file i) in
+      let got = Chunk_file.read file i in
       Alcotest.(check int) "rows" (Array.length chunk) (Array.length got);
       Array.iteri
         (fun r row ->
@@ -122,7 +117,7 @@ let test_chunk_file_roundtrip () =
   (* reads are position-independent: frame 2 then frame 0 *)
   Alcotest.(check int)
     "re-read frame 0" 2
-    (Chunk.n_rows (Chunk_file.read file 0));
+    (Array.length (Chunk_file.read file 0));
   Alcotest.check_raises "out of range"
     (Invalid_argument
        (Printf.sprintf "Chunk_file.read %s: frame 3 of 3" (Chunk_file.path file)))
@@ -134,7 +129,7 @@ let test_chunk_file_rejects_empty () =
   (try
      ignore
        (Chunk_file.write ~dir ~name:"bad" ~arity:1
-          [| Chunk.of_rows [| [| Value.Int 1 |] |]; Chunk.of_rows [||] |]);
+          [| [| [| Value.Int 1 |] |]; [||] |]);
      Alcotest.fail "empty chunk accepted"
    with Invalid_argument _ -> ());
   try
@@ -367,8 +362,7 @@ let test_prefetch_clamped_on_ragged () =
    every morsel boundary while the morsel's frame is pinned, and counts
    emitted rows against the row limit inside the probe fan-out — all
    three exits must release every pin on the way out *)
-let pipelined_unwind_releases_pins layout =
-  with_layout layout @@ fun () ->
+let test_pipelined_unwind_releases_pins () =
   with_chunk_rows 16 (fun () ->
       with_spill ~capacity:2 (fun bp ->
           let cat = Fixtures.shop_catalog ~n_orders:300 () in
@@ -405,14 +399,6 @@ let pipelined_unwind_releases_pins layout =
           let tbl, _ = Executor.run ~mode:Executor.Pipeline plan in
           Alcotest.(check bool) "rerun returns rows" true (Table.n_rows tbl > 0);
           Alcotest.(check int) "no pins after rerun" 0 (Buffer_pool.pinned bp)))
-
-let test_pipelined_unwind_releases_pins () =
-  pipelined_unwind_releases_pins Table.Row
-
-(* the same unwinds with columnar morsels: selection-vector scans and
-   batch key decodes must not change pin discipline *)
-let test_pipelined_unwind_releases_pins_columnar () =
-  pipelined_unwind_releases_pins Table.Columnar
 
 (* spilled execution produces byte-identical results for every strategy,
    covering Temp materialization writing through the pool *)
@@ -488,22 +474,19 @@ let compare_against_reference ~what got =
       if da <> db then Alcotest.failf "%s: %s digest differs" qa what)
     expected got
 
-let check_out_of_core_corpus ?mode ?(layout = Table.Row) ~capacity ?io_pool () =
+let check_out_of_core_corpus ?mode ~capacity ?io_pool () =
   ignore (in_memory_reference ());
   let got =
-    with_layout layout (fun () ->
-        with_chunk_rows 64 (fun () ->
-            with_spill ~capacity ?io_pool (fun bp ->
-                let digests = corpus_digests ?mode () in
-                let s = Buffer_pool.stats bp in
-                Alcotest.(check bool) "corpus faulted" true (s.Buffer_pool.misses > 0);
-                Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp);
-                digests)))
+    with_chunk_rows 64 (fun () ->
+        with_spill ~capacity ?io_pool (fun bp ->
+            let digests = corpus_digests ?mode () in
+            let s = Buffer_pool.stats bp in
+            Alcotest.(check bool) "corpus faulted" true (s.Buffer_pool.misses > 0);
+            Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp);
+            digests))
   in
   compare_against_reference
-    ~what:
-      (Printf.sprintf "out-of-core (%s, capacity %d)" (Table.layout_name layout)
-         capacity)
+    ~what:(Printf.sprintf "out-of-core (capacity %d)" capacity)
     got
 
 let test_corpus_width_1 () = check_out_of_core_corpus ~capacity:1 ()
@@ -521,32 +504,6 @@ let test_corpus_materialize_width_1 () =
 let test_corpus_materialize_width_4 () =
   Pool.with_pool ~domains:2 (fun io ->
       check_out_of_core_corpus ~mode:Executor.Materialize ~capacity:4 ~io_pool:io ())
-
-(* the cross-layout differential: the whole corpus under the columnar
-   layout — vectorized scans, batch join key decodes, columnar
-   aggregation — must reproduce the row-layout reference digests query
-   for query, resident under both engines and fully out-of-core at pool
-   widths 1 (pipelined) and 4 (materializing, with prefetch) *)
-let test_corpus_columnar_resident () =
-  ignore (in_memory_reference ());
-  List.iter
-    (fun (mode, mname) ->
-      let got =
-        with_layout Table.Columnar (fun () ->
-            with_chunk_rows 64 (fun () -> corpus_digests ?mode ()))
-      in
-      compare_against_reference
-        ~what:(Printf.sprintf "columnar resident (%s)" mname)
-        got)
-    [ (None, "pipelined"); (Some Executor.Materialize, "materializing") ]
-
-let test_corpus_columnar_width_1 () =
-  check_out_of_core_corpus ~layout:Table.Columnar ~capacity:1 ()
-
-let test_corpus_columnar_materialize_width_4 () =
-  Pool.with_pool ~domains:2 (fun io ->
-      check_out_of_core_corpus ~mode:Executor.Materialize ~layout:Table.Columnar
-        ~capacity:4 ~io_pool:io ())
 
 (* --- Plan_cache: raising planner shared across two sessions ------------ *)
 
@@ -602,8 +559,6 @@ let suite =
       test_prefetch_clamped_on_ragged;
     Alcotest.test_case "pipelined unwind releases pins" `Quick
       test_pipelined_unwind_releases_pins;
-    Alcotest.test_case "pipelined unwind releases pins (columnar)" `Quick
-      test_pipelined_unwind_releases_pins_columnar;
     Alcotest.test_case "strategies out-of-core" `Quick test_strategies_out_of_core;
     Alcotest.test_case "200-query corpus out-of-core, width 1" `Slow test_corpus_width_1;
     Alcotest.test_case "200-query corpus out-of-core, width 4 + prefetch" `Slow
@@ -612,12 +567,6 @@ let suite =
       test_corpus_materialize_width_1;
     Alcotest.test_case "200-query corpus cross-engine out-of-core, width 4" `Slow
       test_corpus_materialize_width_4;
-    Alcotest.test_case "200-query corpus columnar resident, both engines" `Slow
-      test_corpus_columnar_resident;
-    Alcotest.test_case "200-query corpus columnar out-of-core, width 1" `Slow
-      test_corpus_columnar_width_1;
-    Alcotest.test_case "200-query corpus columnar cross-engine, width 4" `Slow
-      test_corpus_columnar_materialize_width_4;
     Alcotest.test_case "plan cache: raising planner, two sessions" `Quick
       test_plan_cache_raising_planner;
   ]

@@ -6,7 +6,6 @@ let () =
       ("btree", Test_btree.suite);
       ("storage", Test_storage.suite);
       ("bufpool", Test_bufpool.suite);
-      ("columnar", Test_columnar.suite);
       ("expr", Test_expr.suite);
       ("query", Test_query.suite);
       ("join_graph", Test_join_graph.suite);

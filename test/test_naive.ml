@@ -138,6 +138,32 @@ let test_deadline_respected () =
        false
      with Qs_exec.Executor.Timeout -> true)
 
+(* The oracle filters its inputs itself: an engine filter result cached
+   on the input's scratch — here a deliberately wrong one — must not leak
+   into the ground truth. *)
+let test_independent_of_engine_filter_cache () =
+  let _, ctx = Fixtures.shop_ctx () in
+  let q =
+    Query.make ~name:"oslo"
+      [ { Query.alias = "c"; table = "customers" } ]
+      [ Expr.Cmp (Expr.Eq, Expr.col "c" "city", Expr.vstr "oslo") ]
+  in
+  let frag = frag_of ctx q in
+  let truth = Naive.count (frag_of ctx q) in
+  let input = List.hd frag.Fragment.inputs in
+  (* same scratch and filters, different table: the engine caches the
+     wrong table's filter result under this input's filter key *)
+  let wrong =
+    Table.of_rows ~name:"customers" ~schema:input.Fragment.table.Table.schema
+      [ [| Value.Int 1; Value.Str "oslo"; Value.Bool true |] ]
+  in
+  ignore (Qs_exec.Executor.filter_input { input with Fragment.table = wrong });
+  Alcotest.(check bool) "poisoned slot is served to the engine" true
+    (Table.n_rows (Qs_exec.Executor.filter_input input) = 1);
+  Alcotest.(check bool) "oslo has many customers" true (truth > 1);
+  Alcotest.(check int) "count" truth (Naive.count frag);
+  Alcotest.(check int) "rows" truth (Table.n_rows (Naive.rows frag))
+
 let suite =
   [
     Alcotest.test_case "count empty" `Quick test_count_empty_result;
@@ -149,4 +175,6 @@ let suite =
     Alcotest.test_case "multiplicities & nulls" `Quick test_weighted_multiplicities_and_nulls;
     Alcotest.test_case "cinema counts" `Quick test_count_matches_executor_on_cinema;
     Alcotest.test_case "deadline" `Quick test_deadline_respected;
+    Alcotest.test_case "independent of engine filter cache" `Quick
+      test_independent_of_engine_filter_cache;
   ]

@@ -8,13 +8,11 @@
 #   2. Direct `.rows` record access — Table stores rows in chunks; every
 #      caller outside lib/storage must go through the chunk API
 #      (Table.chunk / iter / row / to_rows) so scans stay shardable.
-#      (`Naive.rows` and `Chunk.rows` are function calls, not field
-#      accesses, and are excluded.)
+#      (`Naive.rows` is a function call, not a field access, and is
+#      excluded.)
 #   3. Direct Chunk_file access — spilled chunks are read through the
 #      Buffer_pool (pinning, eviction, prefetch coalescing); a raw
 #      Chunk_file.read outside lib/storage would bypass all of it.
-#      (Chunk_file.ser_chunk_size is a pure size computation with no
-#      I/O and is exempt — the bench metrics report it.)
 #   4. Table.to_rows outside lib/exec and lib/storage — it copies every
 #      chunk of a table into one flat array, defeating both morsel
 #      pipelining and out-of-core execution on intermediates; consumers
@@ -23,14 +21,6 @@
 #      outside lib/obs — the lock-striped flight ring's striping and
 #      overwrite-oldest invariants live entirely in Telemetry; everyone
 #      else goes through Telemetry.complete / Telemetry.snapshot.
-#   6. Columnar field constructors (CInt/CFloat/CBool/CStr/CGen) or
-#      Chunk layout constructors (Chunk.Rows / Chunk.Cols) outside
-#      lib/storage — the columnar invariants (dummy values in NULL
-#      slots, shared dictionaries, validity-bitset collapse) live in
-#      Columnar.of_rows/of_parts; building or matching the raw
-#      representation elsewhere would let a consumer skip them.
-#      Everyone else uses the typed kernels (eval_cmp, take, project,
-#      column_values) and Chunk.of_rows/of_columnar/columnar.
 #
 # Allow-list entries:
 #   lib/util/scratch.ml / .mli — only *mention* Obj in documentation
@@ -54,16 +44,12 @@ for f in $(find lib bin bench \( -name '*.ml' -o -name '*.mli' \) | sort); do
   case "$f" in
     lib/storage/*) continue ;;
   esac
-  if grep -nE '\.rows\b' "$f" | grep -vE '(Naive|Qs_exec\.Naive|Chunk|Qs_storage\.Chunk)\.rows'; then
+  if grep -nE '\.rows\b' "$f" | grep -vE '(Naive|Qs_exec\.Naive)\.rows'; then
     echo "lint: direct Table .rows access in $f — use the chunk API (see tools/lint_unsafe.sh)" >&2
     status=1
   fi
-  if grep -nE 'Chunk_file\.' "$f" | grep -vE 'Chunk_file\.ser_chunk_size'; then
+  if grep -nE 'Chunk_file\.' "$f"; then
     echo "lint: direct chunk-file access in $f — spilled chunks are read through Buffer_pool/Table (see tools/lint_unsafe.sh)" >&2
-    status=1
-  fi
-  if grep -nE '\b(CInt|CFloat|CBool|CStr|CGen)\b|\bChunk\.(Rows|Cols)\b' "$f"; then
-    echo "lint: raw columnar constructor in $f — build/consume columns through Columnar/Chunk functions (see tools/lint_unsafe.sh)" >&2
     status=1
   fi
   case "$f" in
