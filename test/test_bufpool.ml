@@ -84,8 +84,6 @@ let test_chunk_file_roundtrip () =
         [| Value.Str "a\x00b"; Value.Bool true; Value.Int 0; Value.Float infinity |];
         [| Value.Str "snake"; Value.Bool false; Value.Int 7; Value.Float 1e-300 |];
         [| Value.Null; Value.Null; Value.Null; Value.Null |];
-        [| Value.Str "snake"; Value.Null; Value.Int (-7); Value.Float neg_infinity |];
-        [| Value.Str "a\x00b"; Value.Bool true; Value.Null; Value.Float 0.0 |];
       |];
     |]
   in

@@ -1,32 +1,22 @@
-(* Columnar chunk layout: exact of_rows/to_rows round-trips, columnar
-   Chunk_file frames (NaN, -0.0, min_int, NUL-in-string), the
-   frame-sizing regression for dictionary-heavy string columns,
-   selection-vector kernel semantics and edge cases (empty, full,
-   ragged last chunk), layout preservation through filter/project,
-   vectorized vs row-fallback filter parity, columnar aggregation
-   parity, and ANALYZE stats parity across layouts. *)
+(* Cases that once covered the columnar chunk layout, kept against the
+   row layout that replaced it: the tricky values its column frames had
+   to round-trip (NaN, -0.0, min_int/max_int, NUL-in-string, NULL, long
+   strings) through row frames; selection-vector edge cases (empty,
+   full, narrowing, ragged last chunk) and NaN / -0.0 comparison
+   semantics through the row filter path; and filter results against a
+   row-at-a-time reference, sequentially and on a pool. *)
 
 module Value = Qs_storage.Value
 module Schema = Qs_storage.Schema
 module Table = Qs_storage.Table
-module Chunk = Qs_storage.Chunk
-module Columnar = Qs_storage.Columnar
 module Chunk_file = Qs_storage.Chunk_file
 module Expr = Qs_query.Expr
+module Fragment = Qs_stats.Fragment
 module Executor = Qs_exec.Executor
-module Relop = Qs_exec.Relop
-module Logical = Qs_plan.Logical
-module Analyze = Qs_stats.Analyze
-module Table_stats = Qs_stats.Table_stats
 module Pool = Qs_util.Pool
 
-let with_layout layout f =
-  let saved = Table.default_layout () in
-  Table.set_default_layout layout;
-  Fun.protect ~finally:(fun () -> Table.set_default_layout saved) f
-
 let temp_dir () =
-  let f = Filename.temp_file "qs_columnar" "" in
+  let f = Filename.temp_file "qs_frames" "" in
   Sys.remove f;
   Sys.mkdir f 0o700;
   f
@@ -67,167 +57,125 @@ let tricky_rows =
     [| Value.Null; Value.Float 1e-300; Value.Str "a\x00b"; Value.Null |];
   |]
 
-let test_of_rows_roundtrip () =
-  let c = Columnar.of_rows tricky_rows in
-  Alcotest.(check int) "n_rows" 7 (Columnar.n_rows c);
-  Alcotest.(check int) "n_cols" 4 (Columnar.n_cols c);
-  check_cells "to_rows" tricky_rows (Columnar.to_rows c);
-  (* point access and batch decode agree with the rows *)
-  Array.iteri
-    (fun r row ->
-      Array.iteri
-        (fun col v ->
-          if Value.compare v (Columnar.get c ~row:r ~col) <> 0 then
-            Alcotest.failf "get %d %d" r col)
-        row;
-      check_cells "row" [| row |] [| Columnar.row c r |])
-    tricky_rows;
-  for col = 0 to 3 do
-    let vals = Columnar.column_values c col in
-    Array.iteri
-      (fun r v ->
-        if Value.compare tricky_rows.(r).(col) v <> 0 then
-          Alcotest.failf "column_values %d row %d" col r)
-      vals
-  done;
-  (* logical size is layout-invariant *)
-  Alcotest.(check int)
-    "byte_size"
-    (Chunk.byte_size (Chunk.of_rows tricky_rows))
-    (Columnar.byte_size c);
-  (* empty chunk *)
-  let e = Columnar.of_rows [||] in
-  Alcotest.(check int) "empty rows" 0 (Columnar.n_rows e);
-  Alcotest.(check int) "empty decode" 0 (Array.length (Columnar.to_rows e))
+let logical_size rows =
+  Array.fold_left
+    (fun a row -> Array.fold_left (fun a v -> a + Value.byte_size v) a row)
+    0 rows
 
-let test_chunk_file_columnar_roundtrip () =
+let test_chunk_file_roundtrip () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  (* the same tricky chunk spilled in both layouts through one file *)
-  let chunks =
-    [| Chunk.of_columnar (Columnar.of_rows tricky_rows); Chunk.of_rows tricky_rows |]
-  in
-  let file, logical = Chunk_file.write ~dir ~name:"cols" ~arity:4 chunks in
+  (* the tricky chunk whole, then a one-row frame of its widest row *)
+  let chunks = [| tricky_rows; [| tricky_rows.(3) |] |] in
+  let file, logical = Chunk_file.write ~dir ~name:"tricky" ~arity:4 chunks in
   Alcotest.(check int) "frames" 2 (Chunk_file.n_frames file);
-  let c0 = Chunk_file.read file 0 in
-  let c1 = Chunk_file.read file 1 in
-  (* frames come back in the layout they were written with *)
-  Alcotest.(check bool) "frame 0 is columnar" true (Chunk.columnar c0 <> None);
-  Alcotest.(check bool) "frame 1 is row-major" true (Chunk.columnar c1 = None);
-  check_cells "columnar frame" tricky_rows (Chunk.rows c0);
-  check_cells "row frame" tricky_rows (Chunk.rows c1);
-  (* logical byte accounting is layout-invariant too *)
-  Alcotest.(check int) "logical sizes equal" logical.(1) logical.(0)
+  (* read out of order: frames are position-independent *)
+  check_cells "frame 1" chunks.(1) (Chunk_file.read file 1);
+  check_cells "frame 0" chunks.(0) (Chunk_file.read file 0);
+  Array.iteri
+    (fun i chunk ->
+      Alcotest.(check int)
+        (Printf.sprintf "logical bytes %d" i)
+        (logical_size chunk) logical.(i))
+    chunks;
+  (* -0.0 keeps its sign bit through the file *)
+  match (Chunk_file.read file 0).(1).(1) with
+  | Value.Float f -> Alcotest.(check bool) "-0.0 sign" true (Float.sign_bit f)
+  | v -> Alcotest.failf "expected a float, got %s" (Value.to_string v)
 
-(* the frame-sizing regression: a dictionary-heavy string column (every
-   value distinct and long) serializes LARGER columnar than row-major —
-   dict entries plus 4-byte codes exceed the inline strings — so frame
-   size must come from the serialized size under each chunk's own
-   layout, not from the row form *)
-let test_frame_sizing_dict_heavy () =
-  let rows = Array.init 64 (fun i -> [| Value.Str (String.make 48 'a' ^ string_of_int i) |]) in
-  let row_chunk = Chunk.of_rows rows in
-  let col_chunk = Chunk.of_columnar (Columnar.of_rows rows) in
-  let ser_row = Chunk_file.ser_chunk_size row_chunk in
-  let ser_col = Chunk_file.ser_chunk_size col_chunk in
-  Alcotest.(check bool)
-    (Printf.sprintf "columnar serializes larger (%d > %d)" ser_col ser_row)
-    true (ser_col > ser_row);
-  (* a file whose largest *serialized* chunk is the columnar one still
-     round-trips exactly — sizing frames from the row form would write
-     the columnar frame out of bounds *)
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let file, _ = Chunk_file.write ~dir ~name:"dict" ~arity:1 [| row_chunk; col_chunk |] in
-  check_cells "row frame" rows (Chunk.rows (Chunk_file.read file 0));
-  check_cells "dict frame" rows (Chunk.rows (Chunk_file.read file 1))
+(* --- selection vectors through the row filter path --------------------- *)
 
-(* --- selection-vector kernels ------------------------------------------ *)
+let ids tbl =
+  List.rev (Table.fold (fun acc row -> Value.as_int row.(0) :: acc) [] tbl)
 
-let sel_check what expect got =
-  match got with
-  | None -> Alcotest.failf "%s: kernel declined" what
-  | Some sel ->
-      Alcotest.(check (array int)) what (Array.of_list expect) sel
+let int_table ?(chunk_rows = 4) n =
+  Table.create ~chunk_rows ~name:"t"
+    ~schema:(Schema.make "t" [ ("id", Value.TInt); ("v", Value.TInt) ])
+    (Array.init n (fun i -> [| Value.Int i; Value.Int i |]))
 
-let test_selvec_kernels () =
-  let ints = Columnar.of_rows (Array.init 10 (fun i -> [| Value.Int i |])) in
-  (* empty input vector stays empty *)
-  sel_check "empty sel" []
-    (Columnar.eval_cmp ints ~col:0 Columnar.Lt (Value.Int 5) ~sel:(Some [||]));
-  (* dense input, full survivors *)
-  sel_check "full" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-    (Columnar.eval_cmp ints ~col:0 Columnar.Lt (Value.Int 100) ~sel:None);
-  (* dense input, nothing survives *)
-  sel_check "none" []
-    (Columnar.eval_cmp ints ~col:0 Columnar.Lt (Value.Int 0) ~sel:None);
-  (* narrowing a sparse vector preserves order and subset-ness *)
-  sel_check "narrow" [ 5; 7 ]
-    (Columnar.eval_cmp ints ~col:0 Columnar.Ge (Value.Int 4)
-       ~sel:(Some [| 1; 3; 5; 7 |]));
+let test_selvec () =
+  (* 10 rows, chunk_rows 4 => ragged last chunk of 2 *)
+  let t = int_table 10 in
+  let v = Expr.col "t" "v" in
+  let run preds = ids (Executor.filter_table t preds) in
+  (* nothing survives: no chunk is kept, not even an empty one *)
+  let none = Executor.filter_table t [ Expr.Cmp (Expr.Lt, v, Expr.vint 0) ] in
+  Alcotest.(check int) "none: rows" 0 (Table.n_rows none);
+  Alcotest.(check int) "none: no chunks" 0 (Table.n_chunks none);
+  (* everything survives: the input chunks are shared, ragged one too *)
+  let all = Executor.filter_table t [ Expr.Cmp (Expr.Lt, v, Expr.vint 100) ] in
+  Alcotest.(check (list int)) "full" (List.init 10 Fun.id) (ids all);
+  Alcotest.(check int) "full: chunk count" (Table.n_chunks t) (Table.n_chunks all);
+  for ci = 0 to Table.n_chunks t - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "full: chunk %d shared" ci)
+      true
+      (Table.chunk all ci == Table.chunk t ci)
+  done;
+  (* a conjunction narrows the survivors and keeps row order *)
+  Alcotest.(check (list int)) "narrow" [ 4; 5; 7 ]
+    (run
+       [
+         Expr.Cmp (Expr.Ge, v, Expr.vint 4);
+         Expr.Cmp (Expr.Ne, Expr.Arith (Expr.Add, v, Expr.vint 1), Expr.vint 7);
+         Expr.Cmp (Expr.Lt, v, Expr.vint 8);
+       ]);
+  (* a partial selection in the ragged chunk gathers only its survivors *)
+  Alcotest.(check (list int)) "ragged partial" [ 9 ]
+    (run [ Expr.Cmp (Expr.Gt, v, Expr.vint 8) ]);
   (* int column vs float constant compares numerically *)
-  sel_check "int vs float" [ 0; 1; 2 ]
-    (Columnar.eval_cmp ints ~col:0 Columnar.Lt (Value.Float 2.5) ~sel:None);
-  (* NULL constant never matches *)
-  sel_check "null const" []
-    (Columnar.eval_cmp ints ~col:0 Columnar.Eq Value.Null ~sel:None);
-  (* a mixed-type (generic) column has no kernel *)
-  let mixed = Columnar.of_rows [| [| Value.Int 1 |]; [| Value.Str "x" |] |] in
-  Alcotest.(check bool)
-    "generic column declines" true
-    (Columnar.eval_cmp mixed ~col:0 Columnar.Eq (Value.Int 1) ~sel:None = None)
-
-let test_selvec_float_semantics () =
-  let fl =
-    Columnar.of_rows
-      [|
-        [| Value.Float Float.nan |]; [| Value.Float (-0.0) |];
-        [| Value.Float 0.0 |]; [| Value.Float 1.0 |];
-      |]
+  Alcotest.(check (list int)) "int vs float" [ 0; 1; 2 ]
+    (run [ Expr.Cmp (Expr.Lt, v, Expr.vfloat 2.5) ]);
+  (* a NULL constant never matches *)
+  Alcotest.(check (list int)) "null const" []
+    (run [ Expr.Cmp (Expr.Eq, v, Expr.Const Value.Null) ]);
+  (* IS NULL / IS NOT NULL pick complementary ordinals *)
+  let with_nulls =
+    Table.create ~chunk_rows:3 ~name:"t"
+      ~schema:(Schema.make "t" [ ("id", Value.TInt); ("v", Value.TInt) ])
+      (Array.init 7 (fun i ->
+           [| Value.Int i; (if i mod 3 = 1 then Value.Null else Value.Int i) |]))
   in
-  let cmp op k = Columnar.eval_cmp fl ~col:0 op (Value.Float k) ~sel:None in
+  Alcotest.(check (list int)) "is null" [ 1; 4 ]
+    (ids (Executor.filter_table with_nulls [ Expr.Is_null v ]));
+  Alcotest.(check (list int)) "not null" [ 0; 2; 3; 5; 6 ]
+    (ids (Executor.filter_table with_nulls [ Expr.Not_null v ]));
+  (* NULLs never pass a comparison *)
+  Alcotest.(check (list int)) "nulls excluded" [ 0; 2; 3; 5; 6 ]
+    (ids
+       (Executor.filter_table with_nulls
+          [ Expr.Cmp (Expr.Le, v, Expr.vint max_int) ]))
+
+let test_float_semantics () =
+  let fl =
+    Table.create ~name:"f"
+      ~schema:(Schema.make "f" [ ("id", Value.TInt); ("x", Value.TFloat) ])
+      (Array.mapi
+         (fun i x -> [| Value.Int i; Value.Float x |])
+         [| Float.nan; -0.0; 0.0; 1.0 |])
+  in
+  let cmp op k =
+    ids (Executor.filter_table fl [ Expr.Cmp (op, Expr.col "f" "x", Expr.vfloat k) ])
+  in
   (* Value.compare semantics: NaN sorts below every float and equals
      itself; -0.0 = 0.0 *)
-  sel_check "lt 0" [ 0 ] (cmp Columnar.Lt 0.0);
-  sel_check "le 0" [ 0; 1; 2 ] (cmp Columnar.Le 0.0);
-  sel_check "ge 0" [ 1; 2; 3 ] (cmp Columnar.Ge 0.0);
-  sel_check "eq 0 matches -0" [ 1; 2 ] (cmp Columnar.Eq 0.0);
-  sel_check "ne 0" [ 0; 3 ] (cmp Columnar.Ne 0.0);
-  sel_check "eq nan" [ 0 ] (cmp Columnar.Eq Float.nan);
-  sel_check "ne nan" [ 1; 2; 3 ] (cmp Columnar.Ne Float.nan);
-  sel_check "lt nan" [] (cmp Columnar.Lt Float.nan);
-  sel_check "le nan" [ 0 ] (cmp Columnar.Le Float.nan);
-  sel_check "gt nan" [ 1; 2; 3 ] (cmp Columnar.Gt Float.nan);
-  sel_check "ge nan" [ 0; 1; 2; 3 ] (cmp Columnar.Ge Float.nan)
+  List.iter
+    (fun (what, expect, got) -> Alcotest.(check (list int)) what expect got)
+    [
+      ("lt 0", [ 0 ], cmp Expr.Lt 0.0);
+      ("le 0", [ 0; 1; 2 ], cmp Expr.Le 0.0);
+      ("ge 0", [ 1; 2; 3 ], cmp Expr.Ge 0.0);
+      ("eq 0 matches -0", [ 1; 2 ], cmp Expr.Eq 0.0);
+      ("ne 0", [ 0; 3 ], cmp Expr.Ne 0.0);
+      ("eq nan", [ 0 ], cmp Expr.Eq Float.nan);
+      ("ne nan", [ 1; 2; 3 ], cmp Expr.Ne Float.nan);
+      ("lt nan", [], cmp Expr.Lt Float.nan);
+      ("le nan", [ 0 ], cmp Expr.Le Float.nan);
+      ("gt nan", [ 1; 2; 3 ], cmp Expr.Gt Float.nan);
+      ("ge nan", [ 0; 1; 2; 3 ], cmp Expr.Ge Float.nan);
+    ]
 
-let test_selvec_nulls_and_take () =
-  let c = Columnar.of_rows tricky_rows in
-  (* IS NULL / IS NOT NULL on the int column (rows 2 and 6 are NULL) *)
-  sel_check "is null" [ 2; 6 ]
-    (Columnar.eval_null c ~col:0 ~want_null:true ~sel:None);
-  sel_check "not null" [ 0; 1; 3; 4; 5 ]
-    (Columnar.eval_null c ~col:0 ~want_null:false ~sel:None);
-  (* NULLs never pass a comparison *)
-  (match Columnar.eval_cmp c ~col:0 Columnar.Le (Value.Int max_int) ~sel:None with
-  | None -> Alcotest.fail "int kernel declined"
-  | Some sel ->
-      Alcotest.(check (array int)) "nulls excluded" [| 0; 1; 3; 4; 5 |] sel);
-  (* gather keeps exact values (dict shared) and drops collapsed nulls *)
-  let taken = Columnar.take c [| 0; 2; 6 |] in
-  check_cells "take"
-    [| tricky_rows.(0); tricky_rows.(2); tricky_rows.(6) |]
-    (Columnar.to_rows taken);
-  let dense = Columnar.take c [| 0; 1; 3; 4; 5 |] in
-  sel_check "taken rows all non-null" [ 0; 1; 2; 3; 4 ]
-    (Columnar.eval_null dense ~col:0 ~want_null:false ~sel:None);
-  (* column projection shares columns *)
-  let p = Columnar.project c [ 2; 0 ] in
-  Alcotest.(check int) "projected cols" 2 (Columnar.n_cols p);
-  check_cells "project"
-    (Array.map (fun r -> [| r.(2); r.(0) |]) tricky_rows)
-    (Columnar.to_rows p)
-
-(* --- executor parity across layouts ------------------------------------ *)
+(* --- filter results against a row-at-a-time reference ------------------ *)
 
 let wide_schema =
   Schema.make "t"
@@ -250,11 +198,7 @@ let wide_rows =
         Value.Bool (i mod 2 = 0);
       |])
 
-let mk_table layout =
-  with_layout layout (fun () ->
-      Table.create ~chunk_rows:8 ~name:"t" ~schema:wide_schema wide_rows)
-
-let filter_parity_cases =
+let filter_cases =
   [
     ("selective int", [ Expr.Cmp (Expr.Lt, Expr.col "t" "amount", Expr.vint 50) ]);
     ("none survive", [ Expr.Cmp (Expr.Lt, Expr.col "t" "amount", Expr.vint (-1)) ]);
@@ -265,11 +209,9 @@ let filter_parity_cases =
     ("float le zero", [ Expr.Cmp (Expr.Le, Expr.col "t" "price", Expr.vfloat 0.0) ]);
     ("string eq", [ Expr.Cmp (Expr.Eq, Expr.col "t" "cat", Expr.vstr "a\x00b") ]);
     ("string ne", [ Expr.Cmp (Expr.Ne, Expr.col "t" "cat", Expr.vstr "a") ]);
-    ( "kernel + residual",
+    ( "conjunction with arithmetic",
       [
         Expr.Cmp (Expr.Gt, Expr.col "t" "amount", Expr.vint 5);
-        (* Arith has no kernel: exercises partial application + row
-           fallback over the kernel's survivors *)
         Expr.Cmp
           ( Expr.Lt,
             Expr.Arith (Expr.Add, Expr.col "t" "amount", Expr.vint 1),
@@ -279,139 +221,50 @@ let filter_parity_cases =
       [ Expr.Cmp (Expr.Gt, Expr.vint 50, Expr.col "t" "amount") ] );
   ]
 
-let test_filter_parity_across_layouts () =
-  let row_tbl = mk_table Table.Row in
-  let col_tbl = mk_table Table.Columnar in
-  List.iter
-    (fun (what, preds) ->
-      let a = Executor.filter_table row_tbl preds in
-      let b = Executor.filter_table col_tbl preds in
-      Alcotest.(check int) (what ^ " rows") (Table.n_rows a) (Table.n_rows b);
-      Alcotest.(check string) (what ^ " digest") (Table.digest a) (Table.digest b))
-    filter_parity_cases;
-  (* the all-survivors filter returns the full table either way *)
-  let keep_all = [ Expr.Not_null (Expr.col "t" "id") ] in
-  Alcotest.(check string)
-    "full filter = identity"
-    (Table.digest col_tbl)
-    (Table.digest (Executor.filter_table col_tbl keep_all));
-  (* a columnar filter output stays columnar (layout preserved, not
-     re-encoded through the global default) *)
-  let filtered =
-    Executor.filter_table col_tbl
-      [ Expr.Cmp (Expr.Lt, Expr.col "t" "amount", Expr.vint 50) ]
-  in
-  Alcotest.(check bool)
-    "filter preserves columnar" true
-    (Table.n_chunks filtered = 0
-    || Chunk.columnar (Table.chunk_data filtered 0) <> None);
-  (* vectorized kernels actually ran on the columnar side *)
-  let v0 = Executor.vectorized_chunks () in
-  ignore
-    (Executor.filter_table col_tbl
-       [ Expr.Cmp (Expr.Lt, Expr.col "t" "amount", Expr.vint 50) ]);
-  Alcotest.(check bool)
-    "vectorized counter moved" true
-    (Executor.vectorized_chunks () > v0)
+let input_of table filters =
+  {
+    Fragment.id = table.Table.name;
+    table;
+    provides = [ table.Table.name ];
+    filters;
+    stats = Qs_stats.Table_stats.rowcount_only (Table.n_rows table);
+    is_temp = false;
+    base_table = Some table.Table.name;
+    provenance = table.Table.name;
+    stats_epoch = 0;
+    memo = Hashtbl.create 1;
+    scratch = Qs_util.Scratch.create ();
+  }
 
-let test_project_parity_across_layouts () =
-  let row_tbl = mk_table Table.Row in
-  let col_tbl = mk_table Table.Columnar in
-  let cols = [ { Expr.rel = "t"; name = "cat" }; { Expr.rel = "t"; name = "id" } ] in
-  let a = Executor.project row_tbl cols in
-  let b = Executor.project col_tbl cols in
-  Alcotest.(check string) "project digest" (Table.digest a) (Table.digest b);
-  Alcotest.(check bool)
-    "project preserves columnar" true
-    (Chunk.columnar (Table.chunk_data b 0) <> None)
-
-let test_aggregate_parity_across_layouts () =
-  let group_by = [ { Expr.rel = "t"; name = "cat" } ] in
-  let aggs =
-    [
-      { Logical.fn = Logical.Sum; arg = Some (Expr.col "t" "amount"); label = "total" };
-      { Logical.fn = Logical.Count_star; arg = None; label = "n" };
-      { Logical.fn = Logical.Min; arg = Some (Expr.col "t" "price"); label = "lo" };
-      { Logical.fn = Logical.Max; arg = Some (Expr.col "t" "id"); label = "hi" };
-    ]
-  in
-  let row_tbl = mk_table Table.Row in
-  let col_tbl = mk_table Table.Columnar in
-  let a = Relop.aggregate ~name:"g" ~group_by ~aggs row_tbl in
-  let b = Relop.aggregate ~name:"g" ~group_by ~aggs col_tbl in
-  Alcotest.(check string) "agg digest" (Table.digest a) (Table.digest b);
-  (* group order is first-appearance under both layouts (NaN-safe) *)
-  check_cells "row order identical" (Table.to_rows a) (Table.to_rows b);
-  (* the pooled per-chunk merge path over columnar chunks *)
+let test_filter_parity () =
+  let tbl = Table.create ~chunk_rows:8 ~name:"t" ~schema:wide_schema wide_rows in
   Pool.with_pool ~domains:2 (fun pool ->
-      let c = Relop.aggregate ~pool ~name:"g" ~group_by ~aggs col_tbl in
-      Alcotest.(check string) "pooled agg digest" (Table.digest a) (Table.digest c));
-  (* an arithmetic agg argument takes the row path under both layouts *)
-  let arith_aggs =
-    [
-      {
-        Logical.fn = Logical.Sum;
-        arg = Some (Expr.Arith (Expr.Mul, Expr.col "t" "amount", Expr.vint 2));
-        label = "twice";
-      };
-    ]
-  in
+      List.iter
+        (fun (what, preds) ->
+          let expect =
+            Array.to_list wide_rows
+            |> List.filter (fun r -> List.for_all (Expr.eval wide_schema r) preds)
+            |> List.map (fun r -> Value.as_int r.(0))
+          in
+          Alcotest.(check (list int)) what expect
+            (ids (Executor.filter_table tbl preds));
+          Alcotest.(check (list int)) (what ^ " (pool)") expect
+            (ids (Executor.filter_table ~pool tbl preds));
+          Alcotest.(check (list int)) (what ^ " (input)") expect
+            (ids (Executor.filter_input ~pool (input_of tbl preds))))
+        filter_cases);
+  (* the all-survivors filter returns the table unchanged *)
   Alcotest.(check string)
-    "arith agg digest"
-    (Table.digest (Relop.aggregate ~name:"g" ~group_by ~aggs:arith_aggs row_tbl))
-    (Table.digest (Relop.aggregate ~name:"g" ~group_by ~aggs:arith_aggs col_tbl))
-
-let test_analyze_parity_across_layouts () =
-  (* no NaNs here: stats records are compared structurally *)
-  let n = 3000 in
-  let schema =
-    Schema.make "s" [ ("k", Value.TInt); ("v", Value.TFloat); ("s", Value.TStr) ]
-  in
-  let rows =
-    Array.init n (fun i ->
-        let h = (i * 48271) mod 65537 in
-        [|
-          (if h mod 13 = 0 then Value.Null else Value.Int (h mod 200));
-          Value.Float (float_of_int (h mod 1000) /. 16.0);
-          Value.Str ("s" ^ string_of_int (h mod 50));
-        |])
-  in
-  let build layout =
-    with_layout layout (fun () ->
-        Table.create ~chunk_rows:256 ~name:"s" ~schema rows)
-  in
-  let check ~sample =
-    let a = Analyze.of_table ~sample (build Table.Row) in
-    let b = Analyze.of_table ~sample (build Table.Columnar) in
-    Alcotest.(check int) "n_rows" (Table_stats.n_rows a) (Table_stats.n_rows b);
-    List.iter2
-      (fun ((ca : Schema.column), sa) ((_ : Schema.column), sb) ->
-        if compare sa sb <> 0 then
-          Alcotest.failf "column %s stats differ across layouts (sample %d)"
-            ca.Schema.name sample)
-      (Table_stats.columns a) (Table_stats.columns b)
-  in
-  (* full-table pass and the strided per-chunk sample *)
-  check ~sample:(2 * n);
-  check ~sample:500
+    "full filter = identity" (Table.digest tbl)
+    (Table.digest
+       (Executor.filter_table tbl [ Expr.Not_null (Expr.col "t" "id") ]))
 
 let suite =
   [
-    Alcotest.test_case "of_rows/to_rows exact round-trip" `Quick test_of_rows_roundtrip;
     Alcotest.test_case "chunk file round-trips columnar frames" `Quick
-      test_chunk_file_columnar_roundtrip;
-    Alcotest.test_case "frame size from serialized form (dict-heavy)" `Quick
-      test_frame_sizing_dict_heavy;
-    Alcotest.test_case "selection-vector kernels" `Quick test_selvec_kernels;
+      test_chunk_file_roundtrip;
+    Alcotest.test_case "selection-vector kernels" `Quick test_selvec;
     Alcotest.test_case "float kernel semantics (NaN, -0.0)" `Quick
-      test_selvec_float_semantics;
-    Alcotest.test_case "null kernels, take, project" `Quick test_selvec_nulls_and_take;
-    Alcotest.test_case "filter parity across layouts" `Quick
-      test_filter_parity_across_layouts;
-    Alcotest.test_case "project parity across layouts" `Quick
-      test_project_parity_across_layouts;
-    Alcotest.test_case "aggregate parity across layouts" `Quick
-      test_aggregate_parity_across_layouts;
-    Alcotest.test_case "ANALYZE parity across layouts" `Quick
-      test_analyze_parity_across_layouts;
+      test_float_semantics;
+    Alcotest.test_case "filter parity across layouts" `Quick test_filter_parity;
   ]

@@ -70,124 +70,24 @@ let test_nulls_never_join () =
   (* the null x row and null y row must not appear *)
   Alcotest.(check int) "4 rows only" 4 (Table.n_rows out)
 
-(* 30 rows, chunk_rows 8 => ragged last chunk of 6 *)
-let wide_schema =
-  Schema.make "t"
-    [
-      ("id", Value.TInt); ("amount", Value.TInt); ("price", Value.TFloat);
-      ("cat", Value.TStr); ("flag", Value.TBool);
-    ]
-
-let wide_rows =
-  Array.init 30 (fun i ->
-      let h = (i * 2654435761) land 0x3fffffff in
-      [|
-        Value.Int i;
-        (if i mod 7 = 3 then Value.Null else Value.Int (h mod 100));
-        (if i mod 11 = 5 then Value.Float Float.nan
-         else if i mod 11 = 6 then Value.Float (-0.0)
-         else Value.Float (float_of_int (h mod 40) /. 4.0));
-        Value.Str [| "a"; "b"; "a\x00b"; "long-tail-category" |].(h mod 4);
-        Value.Bool (i mod 2 = 0);
-      |])
-
-(* selection-vector edge cases: empty, full, narrowing conjunctions,
-   NaN / -0.0 / NUL-string comparisons *)
-let wide_filters =
-  [
-    [ Expr.Cmp (Expr.Lt, Expr.col "t" "amount", Expr.vint 50) ];
-    [ Expr.Cmp (Expr.Lt, Expr.col "t" "amount", Expr.vint (-1)) ];
-    [ Expr.Not_null (Expr.col "t" "id") ];
-    [ Expr.Between (Expr.col "t" "amount", Value.Int 10, Value.Int 60) ];
-    [ Expr.Is_null (Expr.col "t" "amount") ];
-    [ Expr.Cmp (Expr.Eq, Expr.col "t" "price", Expr.vfloat Float.nan) ];
-    [ Expr.Cmp (Expr.Le, Expr.col "t" "price", Expr.vfloat 0.0) ];
-    [ Expr.Cmp (Expr.Eq, Expr.col "t" "cat", Expr.vstr "a\x00b") ];
-    [ Expr.Cmp (Expr.Ne, Expr.col "t" "cat", Expr.vstr "a") ];
-    [
-      Expr.Cmp (Expr.Gt, Expr.col "t" "amount", Expr.vint 5);
-      Expr.Cmp
-        ( Expr.Lt,
-          Expr.Arith (Expr.Add, Expr.col "t" "amount", Expr.vint 1),
-          Expr.vint 80 );
-    ];
-    [ Expr.Cmp (Expr.Gt, Expr.vint 50, Expr.col "t" "amount") ];
-  ]
-
-let ids tbl =
-  List.rev (Table.fold (fun acc row -> Value.as_int row.(0) :: acc) [] tbl)
-
 let test_filter_input () =
-  let input_of table filters =
+  let a, _ = mini_tables () in
+  let input =
     {
-      Fragment.id = table.Table.name;
-      table;
-      provides = [ table.Table.name ];
-      filters;
-      stats = Qs_stats.Table_stats.rowcount_only (Table.n_rows table);
+      Fragment.id = "a";
+      table = a;
+      provides = [ "a" ];
+      filters = [ Expr.Cmp (Expr.Eq, Expr.col "a" "x", Expr.vint 2) ];
+      stats = Qs_stats.Table_stats.rowcount_only 4;
       is_temp = false;
-      base_table = Some table.Table.name;
-      provenance = table.Table.name;
+      base_table = Some "a";
+      provenance = "a";
       stats_epoch = 0;
       memo = Hashtbl.create 1;
       scratch = Qs_util.Scratch.create ();
     }
   in
-  let a, _ = mini_tables () in
-  Alcotest.(check int) "2 rows" 2
-    (Table.n_rows
-       (Executor.filter_input
-          (input_of a [ Expr.Cmp (Expr.Eq, Expr.col "a" "x", Expr.vint 2) ])));
-  (* the survivors, in row order, against a row-at-a-time reference —
-     sequentially and with chunks filtered on a pool *)
-  let tbl = Table.create ~chunk_rows:8 ~name:"t" ~schema:wide_schema wide_rows in
-  Qs_util.Pool.with_pool ~domains:2 (fun pool ->
-      List.iter
-        (fun preds ->
-          let what = String.concat " & " (List.map Expr.to_string preds) in
-          let expect =
-            Array.to_list wide_rows
-            |> List.filter (fun r -> List.for_all (Expr.eval wide_schema r) preds)
-            |> List.map (fun r -> Value.as_int r.(0))
-          in
-          Alcotest.(check (list int)) what expect
-            (ids (Executor.filter_input (input_of tbl preds)));
-          Alcotest.(check (list int)) (what ^ " (pool)") expect
-            (ids (Executor.filter_input ~pool (input_of tbl preds))))
-        wide_filters);
-  (* a full selection shares the input chunks, ragged one included *)
-  let all = Executor.filter_table tbl [ Expr.Not_null (Expr.col "t" "id") ] in
-  Alcotest.(check int) "full: chunk count" (Table.n_chunks tbl) (Table.n_chunks all);
-  Alcotest.(check bool) "full: ragged chunk shared" true
-    (Table.chunk all 3 == Table.chunk tbl 3);
-  (* an empty selection leaves no chunk behind *)
-  let none =
-    Executor.filter_table tbl [ Expr.Cmp (Expr.Lt, Expr.col "t" "id", Expr.vint 0) ]
-  in
-  Alcotest.(check int) "empty: no chunks" 0 (Table.n_chunks none);
-  (* Value.compare semantics on floats: NaN sorts below every float and
-     equals itself; -0.0 = 0.0 *)
-  let fl =
-    Table.create ~name:"f"
-      ~schema:(Schema.make "f" [ ("id", Value.TInt); ("x", Value.TFloat) ])
-      (Array.mapi
-         (fun i x -> [| Value.Int i; Value.Float x |])
-         [| Float.nan; -0.0; 0.0; 1.0 |])
-  in
-  let cmp op k =
-    ids (Executor.filter_table fl [ Expr.Cmp (op, Expr.col "f" "x", Expr.vfloat k) ])
-  in
-  List.iter
-    (fun (what, expect, got) -> Alcotest.(check (list int)) what expect got)
-    [
-      ("lt 0", [ 0 ], cmp Expr.Lt 0.0);
-      ("le 0", [ 0; 1; 2 ], cmp Expr.Le 0.0);
-      ("eq 0 matches -0", [ 1; 2 ], cmp Expr.Eq 0.0);
-      ("ne 0", [ 0; 3 ], cmp Expr.Ne 0.0);
-      ("eq nan", [ 0 ], cmp Expr.Eq Float.nan);
-      ("lt nan", [], cmp Expr.Lt Float.nan);
-      ("ge nan", [ 0; 1; 2; 3 ], cmp Expr.Ge Float.nan);
-    ]
+  Alcotest.(check int) "2 rows" 2 (Table.n_rows (Executor.filter_input input))
 
 let test_project () =
   let a, _ = mini_tables () in
