@@ -31,22 +31,29 @@ let prune tbl preds keep =
       (Array.make (Table.n_rows tbl) [||])
   else Executor.project tbl cols
 
+(* A deadline poll to call once per row: it reads the clock every 16384
+   calls and raises [Executor.Timeout] once the deadline has passed. *)
+let poller deadline =
+  let seen = ref 0 in
+  fun () ->
+    (if !seen mod 16384 = 0 then
+       match deadline with
+       | Some d when Qs_util.Timer.now () > d -> raise Executor.Timeout
+       | _ -> ());
+    incr seen
+
 (* The reference scan: the input's filters evaluated row at a time with
-   [Expr.eval] over its table. Deliberately not [Executor.filter_input],
-   which reads and fills the engine's filter cache on the input's
-   scratch: the oracle must not share its ground truth with the engine
-   it checks. *)
+   [Expr.eval] over its table. Deliberately not the engine's scan, which
+   reads and fills the engine's filter cache on the input's scratch: the
+   oracle must not share its ground truth with the engine it checks
+   (tools/lint_unsafe.sh keeps it that way). *)
 let filtered_rows ?deadline (i : Fragment.input) =
   let tbl = i.Fragment.table in
   let schema = tbl.Table.schema in
-  let kept = ref [] and seen = ref 0 in
+  let kept = ref [] and poll = poller deadline in
   Table.iter
     (fun row ->
-      (if !seen mod 16384 = 0 then
-         match deadline with
-         | Some d when Qs_util.Timer.now () > d -> raise Executor.Timeout
-         | _ -> ());
-      incr seen;
+      poll ();
       if List.for_all (Expr.eval schema row) i.Fragment.filters then
         kept := row :: !kept)
     tbl;
@@ -59,6 +66,57 @@ let filter_input ?deadline (i : Fragment.input) =
   | _ ->
       Table.create ~name:tbl.Table.name ~schema:tbl.Table.schema
         (filtered_rows ?deadline i)
+
+(* The reference join: a sequential hash join over two materialized
+   tables. Equality conjuncts between the sides form the key (null keys
+   never join); every other predicate is checked on the concatenated
+   row. Deliberately not the engine's join, which the oracle checks. *)
+let hash_join ?deadline ~(build : Table.t) ~(probe : Table.t) preds =
+  let on_build (c : Expr.colref) =
+    Schema.mem build.Table.schema ~rel:c.Expr.rel ~name:c.Expr.name
+  in
+  let keys, residual =
+    List.partition_map
+      (fun p ->
+        match Expr.join_sides p with
+        | Some (a, b) when on_build a -> Either.Left (a, b)
+        | Some (a, b) when on_build b -> Either.Left (b, a)
+        | _ -> Either.Right p)
+      preds
+  in
+  let positions schema cols =
+    List.map
+      (fun (c : Expr.colref) -> Schema.find_exn schema ~rel:c.Expr.rel ~name:c.Expr.name)
+      cols
+  in
+  let bpos = positions build.Table.schema (List.map fst keys) in
+  let ppos = positions probe.Table.schema (List.map snd keys) in
+  let key row pos = List.map (fun p -> row.(p)) pos in
+  let index : (Value.t list, Value.t array list) Hashtbl.t =
+    Hashtbl.create (max 16 (Table.n_rows build))
+  in
+  let poll = poller deadline in
+  Table.iter
+    (fun row ->
+      poll ();
+      let k = key row bpos in
+      if not (List.exists Value.is_null k) then
+        Hashtbl.replace index k (row :: Option.value (Hashtbl.find_opt index k) ~default:[]))
+    build;
+  let out_schema = Schema.concat probe.Table.schema build.Table.schema in
+  let out = ref [] in
+  Table.iter
+    (fun prow ->
+      poll ();
+      let k = key prow ppos in
+      if not (List.exists Value.is_null k) then
+        List.iter
+          (fun brow ->
+            let row = Array.append prow brow in
+            if List.for_all (Expr.eval out_schema row) residual then out := row :: !out)
+          (Option.value (Hashtbl.find_opt index k) ~default:[]))
+    probe;
+  Table.create ~name:"join" ~schema:out_schema (Array.of_list (List.rev !out))
 
 (* saturating arithmetic: true cardinalities of cartesian products and
    explosive joins can exceed 63-bit range *)
@@ -127,7 +185,7 @@ let join_component ?deadline (frag : Fragment.t) (inputs : Fragment.input list) 
         let bal, bt = List.nth !tabs bi in
         let merged_aliases = aal @ bal in
         let here, later = applicable merged_aliases in
-        let joined = Executor.hash_join ?deadline ~build:at ~probe:bt here in
+        let joined = hash_join ?deadline ~build:at ~probe:bt here in
         preds := later;
         let pruned = prune joined later keep in
         tabs :=

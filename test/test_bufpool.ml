@@ -373,15 +373,13 @@ let test_pipelined_unwind_releases_pins () =
           (* a deadline already in the past fires at the first poll *)
           (try
              ignore
-               (Executor.run ~mode:Executor.Pipeline
-                  ~deadline:(Timer.now () -. 1.0)
-                  plan);
+               (Executor.run ~deadline:(Timer.now () -. 1.0) plan);
              Alcotest.fail "expired deadline did not fire"
            with Executor.Timeout -> ());
           Alcotest.(check int) "no pins after timeout" 0 (Buffer_pool.pinned bp);
           (* a tiny row limit fires mid-probe, with build and probe frames live *)
           (try
-             ignore (Executor.run ~mode:Executor.Pipeline ~row_limit:5 plan);
+             ignore (Executor.run ~row_limit:5 plan);
              Alcotest.fail "row limit did not fire"
            with Executor.Timeout -> ());
           Alcotest.(check int) "no pins after row limit" 0 (Buffer_pool.pinned bp);
@@ -389,12 +387,12 @@ let test_pipelined_unwind_releases_pins () =
           let tok = Qs_util.Cancel.create () in
           Qs_util.Cancel.cancel tok;
           (try
-             ignore (Executor.run ~mode:Executor.Pipeline ~cancel:tok plan);
+             ignore (Executor.run ~cancel:tok plan);
              Alcotest.fail "cancellation did not fire"
            with Qs_util.Cancel.Cancelled -> ());
           Alcotest.(check int) "no pins after cancel" 0 (Buffer_pool.pinned bp);
           (* the pool is not poisoned: the same plan still completes *)
-          let tbl, _ = Executor.run ~mode:Executor.Pipeline plan in
+          let tbl, _ = Executor.run plan in
           Alcotest.(check bool) "rerun returns rows" true (Table.n_rows tbl > 0);
           Alcotest.(check int) "no pins after rerun" 0 (Buffer_pool.pinned bp)))
 
@@ -427,44 +425,44 @@ let test_strategies_out_of_core () =
 
 let max_result_rows = 60_000
 
-(* In-memory reference digests for the corpus (explosive queries
-   skipped), computed once per run of this file. *)
-let reference = ref None
-
-let corpus_digests ?mode () =
+let corpus () =
   let cat = Fixtures.shop_catalog ~n_orders:400 () in
   let registry = Qs_stats.Stats_registry.create cat in
   let ctx = Strategy.make_ctx registry Estimator.default in
   let queries = Fuzz.queries cat ~seed:20230617 ~n:200 () in
-  let keep =
-    match !reference with
-    | Some (names, _) -> fun (q : Query.t) -> List.mem q.Query.name names
-    | None ->
-        fun q -> Naive.count (Strategy.fragment_of_query ctx q) <= max_result_rows
-  in
+  (cat, ctx, queries)
+
+(* Oracle digests for the corpus (explosive queries skipped): [Naive.rows]
+   shares no scan or join code with the executor. Computed once per run
+   of this file. *)
+let reference =
+  lazy
+    (let _, ctx, queries = corpus () in
+     List.filter_map
+       (fun (q : Query.t) ->
+         let frag = Strategy.fragment_of_query ctx q in
+         if Naive.count frag > max_result_rows then None
+         else Some (q.Query.name, Table.digest (Naive.rows frag)))
+       queries)
+
+(* executor digests of the reference's queries *)
+let corpus_digests () =
+  let names = List.map fst (Lazy.force reference) in
+  let cat, ctx, queries = corpus () in
   List.filter_map
     (fun (q : Query.t) ->
-      if not (keep q) then None
+      if not (List.mem q.Query.name names) then None
       else begin
         let frag = Strategy.fragment_of_query ctx q in
         let plan = (Optimizer.optimize cat Estimator.default frag).Optimizer.plan in
-        let tbl, _ = Executor.run ?mode plan in
+        let tbl, _ = Executor.run plan in
         let out = Executor.project ~name:q.Query.name tbl q.Query.output in
         Some (q.Query.name, Table.digest out)
       end)
     queries
 
-let in_memory_reference () =
-  match !reference with
-  | Some r -> r
-  | None ->
-      let digests = with_chunk_rows 64 corpus_digests in
-      let r = (List.map fst digests, digests) in
-      reference := Some r;
-      r
-
 let compare_against_reference ~what got =
-  let _, expected = in_memory_reference () in
+  let expected = Lazy.force reference in
   Alcotest.(check int) "query count" (List.length expected) (List.length got);
   List.iter2
     (fun (qa, da) (qb, db) ->
@@ -472,12 +470,12 @@ let compare_against_reference ~what got =
       if da <> db then Alcotest.failf "%s: %s digest differs" qa what)
     expected got
 
-let check_out_of_core_corpus ?mode ~capacity ?io_pool () =
-  ignore (in_memory_reference ());
+let check_out_of_core_corpus ~capacity ?io_pool () =
+  ignore (Lazy.force reference);
   let got =
     with_chunk_rows 64 (fun () ->
         with_spill ~capacity ?io_pool (fun bp ->
-            let digests = corpus_digests ?mode () in
+            let digests = corpus_digests () in
             let s = Buffer_pool.stats bp in
             Alcotest.(check bool) "corpus faulted" true (s.Buffer_pool.misses > 0);
             Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp);
@@ -492,16 +490,6 @@ let test_corpus_width_1 () = check_out_of_core_corpus ~capacity:1 ()
 let test_corpus_width_4_prefetch () =
   Pool.with_pool ~domains:2 (fun io ->
       check_out_of_core_corpus ~capacity:4 ~io_pool:io ())
-
-(* the cross-engine differential, fully out-of-core: the materializing
-   engine at pool widths 1 and 4 must reproduce the pipelined in-memory
-   reference digests query for query *)
-let test_corpus_materialize_width_1 () =
-  check_out_of_core_corpus ~mode:Executor.Materialize ~capacity:1 ()
-
-let test_corpus_materialize_width_4 () =
-  Pool.with_pool ~domains:2 (fun io ->
-      check_out_of_core_corpus ~mode:Executor.Materialize ~capacity:4 ~io_pool:io ())
 
 (* --- Plan_cache: raising planner shared across two sessions ------------ *)
 
@@ -561,10 +549,6 @@ let suite =
     Alcotest.test_case "200-query corpus out-of-core, width 1" `Slow test_corpus_width_1;
     Alcotest.test_case "200-query corpus out-of-core, width 4 + prefetch" `Slow
       test_corpus_width_4_prefetch;
-    Alcotest.test_case "200-query corpus cross-engine out-of-core, width 1" `Slow
-      test_corpus_materialize_width_1;
-    Alcotest.test_case "200-query corpus cross-engine out-of-core, width 4" `Slow
-      test_corpus_materialize_width_4;
     Alcotest.test_case "plan cache: raising planner, two sessions" `Quick
       test_plan_cache_raising_planner;
   ]

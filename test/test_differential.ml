@@ -14,6 +14,8 @@ module Executor = Qs_exec.Executor
 module Naive = Qs_exec.Naive
 module Strategy = Qs_core.Strategy
 module Fuzz = Qs_workload.Fuzz
+module Fragment = Qs_stats.Fragment
+module Physical = Qs_plan.Physical
 
 (* result sets above this are skipped: an explosive cross-FK join tells us
    nothing new about plan equivalence and only burns test time *)
@@ -170,15 +172,18 @@ let test_parallel_join_corpus () =
           end)
         queries)
 
-(* --- the two execution engines ----------------------------------------- *)
+(* --- the engine against the oracle, node by node ------------------------ *)
 
-(* The morsel-driven pipelined engine against the materializing
-   reference over the whole corpus: identical result multisets and
-   identical per-node cardinalities, sequential and with a
-   partitioned-parallel pool. *)
-let test_engine_parity_corpus () =
+(* Every plan node's actual cardinality against the oracle: a node's
+   stats entry must equal [Naive.count] of the fragment restricted to
+   the scans under it, with the output left unprojected. The inner scan
+   of an index nested-loop join is skipped: it is consumed through the
+   index, so its entry counts the rows the lookups matched. The pooled
+   run's result must also equal [Naive.rows]. *)
+let test_engine_oracle_corpus () =
   let cat, ctx = Fixtures.shop_ctx ~n_orders:400 () in
   let queries = Fuzz.queries cat ~seed:20230617 ~n:200 () in
+  let checked = ref 0 in
   Pool.with_pool ~domains:4 (fun pool ->
       List.iter
         (fun (q : Query.t) ->
@@ -187,30 +192,45 @@ let test_engine_parity_corpus () =
             let plan =
               (Optimizer.optimize cat Estimator.default frag).Optimizer.plan
             in
-            let mat, mstats = Executor.run ~mode:Executor.Materialize plan in
-            let pipe, pstats = Executor.run ~mode:Executor.Pipeline plan in
-            if not (Fixtures.tables_equal mat pipe) then
-              Alcotest.failf "%s: pipelined engine diverges (%d vs %d rows)"
-                q.Query.name (Table.n_rows mat) (Table.n_rows pipe);
-            let par, _ = Executor.run ~mode:Executor.Pipeline ~pool plan in
-            if not (Fixtures.tables_equal mat par) then
-              Alcotest.failf "%s: parallel pipelined engine diverges (%d vs %d rows)"
-                q.Query.name (Table.n_rows mat) (Table.n_rows par);
-            Hashtbl.iter
-              (fun id rows ->
-                Alcotest.(check int)
-                  (Printf.sprintf "%s: node %d cardinality" q.Query.name id)
-                  rows
-                  (Option.value (Hashtbl.find_opt pstats id) ~default:(-1)))
-              mstats
+            let _, stats = Executor.run plan in
+            let index_nl_inners =
+              List.filter_map
+                (fun (n : Physical.t) ->
+                  match n.Physical.node with
+                  | Physical.Join { method_ = Physical.Index_nl; right; _ } ->
+                      Some right.Physical.id
+                  | _ -> None)
+                (Physical.nodes plan)
+            in
+            List.iter
+              (fun (n : Physical.t) ->
+                if not (List.mem n.Physical.id index_nl_inners) then begin
+                  incr checked;
+                  let sub =
+                    { (Fragment.restrict frag (Physical.leaves n)) with
+                      Fragment.output = [] }
+                  in
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s: node %d cardinality" q.Query.name
+                       n.Physical.id)
+                    (Naive.count sub)
+                    (Hashtbl.find stats n.Physical.id)
+                end)
+              (Physical.nodes plan);
+            let par, _ = Executor.run ~pool plan in
+            let got = Executor.project ~name:q.Query.name par q.Query.output in
+            if not (Fixtures.tables_equal (Naive.rows frag) got) then
+              Alcotest.failf "%s: pooled run diverges from naive (%d rows)"
+                q.Query.name (Table.n_rows got)
           end)
-        queries)
+        queries);
+  Alcotest.(check bool) "nodes were checked" true (!checked > 0)
 
-(* ?row_limit semantics on the pipelined path, with limit AND a parallel
-   partitioned join AND spilled tables at once: any join producing more
-   than [limit] rows must trip {!Executor.Timeout} in both engines, a
-   limit no operator reaches must trip in neither, and the surviving
-   runs must agree — with every pin released on the Timeout unwinds. *)
+(* ?row_limit semantics with limit AND a parallel partitioned join AND
+   spilled tables at once: any join producing more than [limit] rows
+   must trip {!Executor.Timeout} both sequentially and pooled, a limit
+   no operator reaches must trip in neither, and the surviving runs must
+   agree — with every pin released on the Timeout unwinds. *)
 let test_limit_parallel_spill () =
   let saved = Table.default_chunk_rows () in
   Table.set_default_chunk_rows 32;
@@ -242,22 +262,20 @@ let test_limit_parallel_spill () =
                     let plan =
                       (Optimizer.optimize cat Estimator.default frag).Optimizer.plan
                     in
-                    let mat, stats =
-                      Executor.run ~mode:Executor.Materialize plan
-                    in
+                    let seq, stats = Executor.run plan in
                     (* an explicit limit far above any operator output:
-                       the pipelined parallel run over spilled tables
-                       must not trip it *)
+                       the parallel run over spilled tables must not
+                       trip it *)
                     let relaxed, _ =
-                      Executor.run ~mode:Executor.Pipeline ~pool
-                        ~row_limit:Executor.default_row_limit plan
+                      Executor.run ~pool ~row_limit:Executor.default_row_limit
+                        plan
                     in
-                    if not (Fixtures.tables_equal mat relaxed) then
-                      Alcotest.failf "%s: pipelined diverges under a slack limit"
+                    if not (Fixtures.tables_equal seq relaxed) then
+                      Alcotest.failf "%s: pooled run diverges under a slack limit"
                         q.Query.name;
                     (* a limit strictly below some join's output: more
                        than [limit] rows survive that join in any
-                       evaluation order, so both engines must raise *)
+                       evaluation order, so both runs must raise *)
                     let join_max =
                       List.fold_left
                         (fun m (n : Qs_plan.Physical.t) ->
@@ -270,15 +288,15 @@ let test_limit_parallel_spill () =
                     in
                     if join_max > 1 then begin
                       incr tripped;
-                      let expect_timeout label mode =
+                      let expect_timeout label pool =
                         match
-                          Executor.run ~mode ~pool ~row_limit:(join_max - 1) plan
+                          Executor.run ?pool ~row_limit:(join_max - 1) plan
                         with
                         | _ -> Alcotest.failf "%s: %s ignored the limit" q.Query.name label
                         | exception Executor.Timeout -> ()
                       in
-                      expect_timeout "materializing" Executor.Materialize;
-                      expect_timeout "pipelined" Executor.Pipeline;
+                      expect_timeout "sequential run" None;
+                      expect_timeout "pooled run" (Some pool);
                       Alcotest.(check int)
                         (q.Query.name ^ ": no pins leaked by limit unwind")
                         0
@@ -416,8 +434,8 @@ let suite =
       test_parallel_harness_corpus;
     Alcotest.test_case "parallel hash join over fuzz corpus" `Slow
       test_parallel_join_corpus;
-    Alcotest.test_case "engine parity: pipelined = materializing" `Slow
-      test_engine_parity_corpus;
+    Alcotest.test_case "per-node cardinalities = oracle" `Slow
+      test_engine_oracle_corpus;
     Alcotest.test_case "row limit: limit x parallel join x spill" `Slow
       test_limit_parallel_spill;
     Alcotest.test_case "traced corpus digests = untraced" `Slow

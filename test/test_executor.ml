@@ -37,35 +37,55 @@ let mini_tables () =
   in
   (a, b)
 
+let fragment_input ?(filters = []) (t : Table.t) =
+  {
+    Fragment.id = t.Table.name;
+    table = t;
+    provides = [ t.Table.name ];
+    filters;
+    stats = Qs_stats.Analyze.rowcount_of_table t;
+    is_temp = false;
+    base_table = Some t.Table.name;
+    provenance = t.Table.name;
+    stats_epoch = 0;
+    memo = Hashtbl.create 1;
+    scratch = Qs_util.Scratch.create ();
+  }
+
+(* A one-join hash plan run through the engine: [build] is the left
+   (build) side, [probe] the right. *)
+let hash_join ?pool ?row_limit ~build ~probe preds =
+  let scan t = Physical.scan (fragment_input t) ~est_rows:4.0 ~est_cost:4.0 in
+  let plan =
+    Physical.join ~method_:Physical.Hash () ~left:(scan build) ~right:(scan probe)
+      ~preds ~est_rows:4.0 ~est_cost:20.0
+  in
+  fst (Executor.run ?pool ?row_limit plan)
+
 let test_hash_join_basics () =
   let a, b = mini_tables () in
   let p = Expr.eq (Expr.col "a" "x") (Expr.col "b" "y") in
-  let out = Executor.hash_join ~build:a ~probe:b [ p ] in
+  let out = hash_join ~build:a ~probe:b [ p ] in
   (* x=2 matches twice on each side: 2*2 = 4 rows; nulls never join *)
   Alcotest.(check int) "4 rows" 4 (Table.n_rows out)
-
-let test_hash_join_count_matches () =
-  let a, b = mini_tables () in
-  let p = Expr.eq (Expr.col "a" "x") (Expr.col "b" "y") in
-  Alcotest.(check int) "count = materialized" 4
-    (Executor.hash_join_count ~build:a ~probe:b [ p ])
 
 let test_hash_join_residual () =
   let a, b = mini_tables () in
   let p = Expr.eq (Expr.col "a" "x") (Expr.col "b" "y") in
   let res = Expr.Cmp (Expr.Gt, Expr.col "b" "v", Expr.vint 10) in
-  let out = Executor.hash_join ~build:a ~probe:b [ p; res ] in
-  Alcotest.(check int) "residual filters" 2 (Table.n_rows out);
-  Alcotest.(check int) "count agrees" 2
-    (Executor.hash_join_count ~build:a ~probe:b [ p; res ])
+  let out = hash_join ~build:a ~probe:b [ p; res ] in
+  Alcotest.(check int) "residual filters" 2 (Table.n_rows out)
 
 let test_nulls_never_join () =
   let a, b = mini_tables () in
   let p = Expr.eq (Expr.col "a" "x") (Expr.col "b" "y") in
-  let out = Executor.hash_join ~build:a ~probe:b [ p ] in
+  let out = hash_join ~build:a ~probe:b [ p ] in
+  let key rel name = Schema.find_exn out.Table.schema ~rel ~name in
+  let x = key "a" "x" and y = key "b" "y" in
   Table.iter
-    (fun row -> Array.iter (fun v -> Alcotest.(check bool) "no null keys" false
-      (Value.is_null v && false)) row)
+    (fun row ->
+      Alcotest.(check bool) "no null keys" false
+        (Value.is_null row.(x) || Value.is_null row.(y)))
     out;
   (* the null x row and null y row must not appear *)
   Alcotest.(check int) "4 rows only" 4 (Table.n_rows out)
@@ -181,21 +201,6 @@ let test_index_nl_equals_hash () =
    from the stats table. Every node id of the plan must always be present,
    zero-row producers included. *)
 
-let fragment_input ?(filters = []) (t : Table.t) =
-  {
-    Fragment.id = t.Table.name;
-    table = t;
-    provides = [ t.Table.name ];
-    filters;
-    stats = Qs_stats.Analyze.rowcount_of_table t;
-    is_temp = false;
-    base_table = Some t.Table.name;
-    provenance = t.Table.name;
-    stats_epoch = 0;
-    memo = Hashtbl.create 1;
-    scratch = Qs_util.Scratch.create ();
-  }
-
 let index_nl_plan ?outer_filters ?inner_filters () =
   let a, b = mini_tables () in
   let ix = Qs_storage.Index.build b ~column:"y" ~unique:false in
@@ -302,14 +307,14 @@ let test_parallel_hash_join_matches () =
   Qs_util.Pool.with_pool ~domains:4 (fun pool ->
       List.iter
         (fun preds ->
-          let seq = Executor.hash_join ~build:a ~probe:b preds in
-          let par = Executor.hash_join ~pool ~build:a ~probe:b preds in
+          let seq = hash_join ~build:a ~probe:b preds in
+          let par = hash_join ~pool ~build:a ~probe:b preds in
           Alcotest.(check bool) "same multiset" true (Fixtures.tables_equal seq par))
         [ [ p ]; [ p; res ] ])
 
 let test_parallel_hash_join_limit () =
-  (* the row limit must still convert explosive joins into Timeout, even
-     when the counting is spread across domains *)
+  (* the row limit must convert explosive joins into Timeout, both
+     sequentially and when the counting is spread across domains *)
   let big =
     Table.create ~name:"c"
       ~schema:(Schema.make "c" [ ("k", Value.TInt) ])
@@ -317,12 +322,15 @@ let test_parallel_hash_join_limit () =
   in
   let big2 = Table.rename big "d" in
   let p = Expr.eq (Expr.col "c" "k") (Expr.col "d" "k") in
+  let trips ?pool () =
+    try
+      ignore (hash_join ?pool ~row_limit:10_000 ~build:big ~probe:big2 [ p ]);
+      false
+    with Executor.Timeout -> true
+  in
+  Alcotest.(check bool) "sequential timeout raised" true (trips ());
   Qs_util.Pool.with_pool ~domains:2 (fun pool ->
-      Alcotest.(check bool) "timeout raised" true
-        (try
-           ignore (Executor.hash_join ~limit:10_000 ~pool ~build:big ~probe:big2 [ p ]);
-           false
-         with Executor.Timeout -> true))
+      Alcotest.(check bool) "pooled timeout raised" true (trips ~pool ()))
 
 let test_run_with_pool_matches () =
   let cat, ctx = Fixtures.shop_ctx ~n_orders:400 () in
@@ -336,25 +344,33 @@ let test_run_with_pool_matches () =
 
 (* --- morsel-driven engine: intermediates and partition reuse ----------- *)
 
-let test_pipelined_intermediates_counter () =
-  (* the 4-way shop join, executed as one plan: the materializing engine
-     builds a table per operator output, the pipelined engine only its
-     sink *)
+(* the 4-way shop join, executed as one plan, materializes only its
+   sink — traced or not, since tracing observes the same engine *)
+let shop_hash_plan () =
   let cat, ctx = Fixtures.shop_ctx ~n_orders:400 () in
   let frag = Strategy.fragment_of_query ctx (Fixtures.shop_query ()) in
   let res = Optimizer.optimize ~allowed:[ Physical.Hash ] cat Estimator.default frag in
-  let count mode =
-    Executor.reset_counters ();
-    let tbl, _ = Executor.run ~mode res.Optimizer.plan in
-    (Executor.intermediate_tables (), tbl)
-  in
-  let mats, mat_tbl = count Executor.Materialize in
-  let pipes, pipe_tbl = count Executor.Pipeline in
-  Alcotest.(check bool) "same multiset" true (Fixtures.tables_equal mat_tbl pipe_tbl);
-  Alcotest.(check int) "pipelined materializes only the sink" 1 pipes;
-  Alcotest.(check bool)
-    (Printf.sprintf "materializing builds more (%d)" mats)
-    true (mats > pipes)
+  (frag, res.Optimizer.plan)
+
+let test_pipelined_intermediates_counter () =
+  let frag, plan = shop_hash_plan () in
+  Executor.reset_counters ();
+  let tbl, _ = Executor.run plan in
+  Alcotest.(check int) "only the sink is materialized" 1
+    (Executor.intermediate_tables ());
+  Alcotest.(check bool) "result = naive" true
+    (Fixtures.tables_equal (Naive.rows { frag with Fragment.output = [] }) tbl)
+
+let test_traced_run_one_intermediate () =
+  let _, plan = shop_hash_plan () in
+  Executor.reset_counters ();
+  let trace = Qs_obs.Trace.create () in
+  ignore (Executor.run ~trace plan);
+  Alcotest.(check int) "a traced run materializes only the sink" 1
+    (Executor.intermediate_tables ());
+  Alcotest.(check int) "every node traced"
+    (List.length (Physical.nodes plan))
+    (Qs_obs.Trace.size trace)
 
 let test_partition_reuse_across_steps () =
   (* products.id is a hub: orders and reviews both join it. QuerySplit
@@ -392,7 +408,6 @@ let test_naive_count_matches_rows () =
 let suite =
   [
     Alcotest.test_case "hash join basics" `Quick test_hash_join_basics;
-    Alcotest.test_case "hash join count" `Quick test_hash_join_count_matches;
     Alcotest.test_case "hash join residual" `Quick test_hash_join_residual;
     Alcotest.test_case "nulls never join" `Quick test_nulls_never_join;
     Alcotest.test_case "filter input" `Quick test_filter_input;
@@ -417,6 +432,8 @@ let suite =
     Alcotest.test_case "run with pool = sequential" `Quick test_run_with_pool_matches;
     Alcotest.test_case "pipelined intermediates counter" `Quick
       test_pipelined_intermediates_counter;
+    Alcotest.test_case "traced run: one intermediate" `Quick
+      test_traced_run_one_intermediate;
     Alcotest.test_case "partition reuse across QuerySplit steps" `Quick
       test_partition_reuse_across_steps;
   ]

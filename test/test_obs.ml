@@ -227,7 +227,33 @@ let test_trace_volumes () =
       | _ -> ())
     (Physical.nodes plan);
   Alcotest.(check bool) "total bytes positive" true
-    (Trace.total_output_bytes trace > 0)
+    (Trace.total_output_bytes trace > 0);
+  (* a hash join consumes every row its children emit: build = left,
+     probe = right *)
+  let actual (p : Physical.t) =
+    (Option.get (Trace.find trace p.Physical.id)).Trace.actual_rows
+  in
+  List.iter
+    (fun (n : Physical.t) ->
+      match n.Physical.node with
+      | Physical.Join { method_ = Physical.Hash; left; right; _ } ->
+          let tn = Option.get (Trace.find trace n.Physical.id) in
+          Alcotest.(check int)
+            (Printf.sprintf "join %d: built = left actual" n.Physical.id)
+            (actual left) tn.Trace.rows_built;
+          Alcotest.(check int)
+            (Printf.sprintf "join %d: probed = right actual" n.Physical.id)
+            (actual right) tn.Trace.rows_probed
+      | _ -> ())
+    (Physical.nodes plan);
+  (* self times partition the root's inclusive time *)
+  let self_sum = ref 0.0 in
+  Trace.iter trace (fun n -> self_sum := !self_sum +. Trace.self_time trace n);
+  Alcotest.(check bool)
+    (Printf.sprintf "sum of self times %.6f <= root elapsed %.6f" !self_sum
+       root.Trace.elapsed)
+    true
+    (!self_sum <= root.Trace.elapsed +. 1e-9)
 
 (* The golden test pins the renderer's exact output for a hand-built plan
    executed on a hand-built table — timings suppressed, so the string is

@@ -80,8 +80,10 @@ done
 # shared entries are byte-identical across the stack and every diff —
 # histograms included — runs full.
 # Each later baseline is a superset: pr6 adds the "serve" entry, pr7
-# the "io" buffer-pool entry, pr8 the "pipeline" engine-comparison
-# entry, and BENCH_pr9.json the "telemetry" serving entry.
+# the "io" buffer-pool entry, pr8 the "pipeline" executor entry (the
+# executor's intermediate-table and partition-reuse counters, and
+# digests_identical = 1 when its results match Naive.rows), and
+# BENCH_pr9.json the "telemetry" serving entry.
 # BENCH_pr10.json holds the same entries as BENCH_pr9.json.
 # The exe is a declared dep of the runtest rule; when running by hand it
 # lives under _build.
@@ -117,7 +119,7 @@ if [ -x "$bench_diff" ] && [ -f BENCH_pr7.json ] && [ -f BENCH_pr8.json ]; then
     status=1
   }
   grep -q '"pipeline"' BENCH_pr8.json || {
-    echo "check: BENCH_pr8.json is missing the \"pipeline\" engine entry" >&2
+    echo "check: BENCH_pr8.json is missing the \"pipeline\" executor entry" >&2
     status=1
   }
 fi
