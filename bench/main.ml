@@ -14,17 +14,9 @@
      dune exec bench/main.exe -- --metrics-out BENCH.json      # bench_diff dump
      dune exec bench/main.exe -- serve_sweep --metrics-out BENCH.json
      dune exec bench/main.exe -- --spill-dir /tmp/qs --buffer-chunks 8 io_sweep
-     # committed-baseline regeneration (see tools/check.sh): ONE run
-     # writing every flavour — roster-only, roster+serve,
-     # roster+serve+io, roster+serve+io+pipeline and additionally
-     # +telemetry (written twice: BENCH_pr9.json and BENCH_pr10.json)
-     # — so their shared entries are byte-identical (BENCH_pr4.json is
-     # a copy of the regenerated BENCH_pr5.json)
-     dune exec bench/main.exe -- --queries 12 \
-       --baseline-out BENCH_pr5.json --serve-out BENCH_pr6.json \
-       --io-out BENCH_pr7.json --pipeline-out BENCH_pr8.json \
-       --telemetry-out BENCH_pr9.json --metrics-out BENCH_pr10.json
-     cp BENCH_pr5.json BENCH_pr4.json *)
+     # regenerate the committed counter baseline, which `dune runtest`
+     # compares exactly with a fresh dump (see bench/dune)
+     dune exec bench/main.exe -- --queries 12 --metrics-out bench/baseline.json *)
 
 module Experiments = Qs_harness.Experiments
 
@@ -131,11 +123,6 @@ let () =
   let want_micro = ref false in
   let trace_out = ref None in
   let metrics_out = ref None in
-  let baseline_out = ref None in
-  let serve_out = ref None in
-  let io_out = ref None in
-  let pipeline_out = ref None in
-  let telemetry_out = ref None in
   let spill_dir = ref None in
   let buffer_chunks = ref 64 in
   let rec parse = function
@@ -166,21 +153,6 @@ let () =
         parse rest
     | "--metrics-out" :: v :: rest ->
         metrics_out := Some v;
-        parse rest
-    | "--baseline-out" :: v :: rest ->
-        baseline_out := Some v;
-        parse rest
-    | "--serve-out" :: v :: rest ->
-        serve_out := Some v;
-        parse rest
-    | "--io-out" :: v :: rest ->
-        io_out := Some v;
-        parse rest
-    | "--pipeline-out" :: v :: rest ->
-        pipeline_out := Some v;
-        parse rest
-    | "--telemetry-out" :: v :: rest ->
-        telemetry_out := Some v;
         parse rest
     | "--spill-dir" :: v :: rest ->
         spill_dir := Some v;
@@ -225,12 +197,8 @@ let () =
         Some io
   in
   (* no arguments: run everything, micro-benchmarks included — unless the
-     invocation is a pure --metrics-out / --baseline-out dump *)
-  let default_run =
-    !chosen = [] && (not !want_micro) && !metrics_out = None
-    && !baseline_out = None && !serve_out = None && !io_out = None
-    && !pipeline_out = None && !telemetry_out = None
-  in
+     invocation is a pure --metrics-out dump *)
+  let default_run = !chosen = [] && (not !want_micro) && !metrics_out = None in
   if default_run then want_micro := true;
   let names = if default_run then List.map fst experiments else !chosen in
   let s = !setup in
@@ -248,31 +216,13 @@ let () =
         (Qs_util.Timer.elapsed ~since:t0))
     names;
   if !want_micro then micro ();
-  let write path json =
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc json;
-        output_char oc '\n');
-    Printf.printf "wrote metrics JSON to %s\n%!" path
-  in
-  (match
-     ( !metrics_out, !baseline_out, !serve_out, !io_out, !pipeline_out,
-       !telemetry_out )
-   with
-  | None, None, None, None, None, None -> ()
-  | Some path, None, None, None, None, None ->
-      write path (Experiments.metrics_json s)
-  | metrics, baseline, serve, io, pipeline, telemetry ->
-      (* every requested flavour from one harness run, so full
-         bench_diffs between the written files are meaningful *)
-      let base_json, serve_json, io_json, pipeline_json, full_json =
-        Experiments.metrics_json_flavors s
-      in
-      Option.iter (fun path -> write path base_json) baseline;
-      Option.iter (fun path -> write path serve_json) serve;
-      Option.iter (fun path -> write path io_json) io;
-      Option.iter (fun path -> write path pipeline_json) pipeline;
-      Option.iter (fun path -> write path full_json) telemetry;
-      Option.iter (fun path -> write path full_json) metrics);
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Experiments.metrics_json s);
+          output_char oc '\n');
+      Printf.printf "wrote metrics JSON to %s\n%!" path)
+    !metrics_out;
   Option.iter Qs_util.Pool.shutdown io_pool;
   match (!trace_out, s.Experiments.tracer) with
   | Some path, Some tr ->

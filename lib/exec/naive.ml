@@ -5,6 +5,34 @@ module Expr = Qs_query.Expr
 module Fragment = Qs_stats.Fragment
 module Scratch = Qs_util.Scratch
 
+(* The reference projection (columns in the given order, duplicates
+   removed) and cross product, row at a time over [Table.iter].
+   Deliberately not the engine's [project] and [cartesian], which the
+   oracle checks (tools/lint_unsafe.sh keeps it that way). *)
+let project ~name (tbl : Table.t) cols =
+  let position (c : Expr.colref) =
+    Schema.find_exn tbl.Table.schema ~rel:c.Expr.rel ~name:c.Expr.name
+  in
+  let cols = List.fold_left (fun acc c -> if List.mem c acc then acc else c :: acc) [] cols in
+  let positions = Array.of_list (List.rev_map position cols) in
+  let rows = ref [] in
+  Table.iter (fun row -> rows := Array.map (fun p -> row.(p)) positions :: !rows) tbl;
+  Table.create ~name
+    ~schema:(Array.map (fun p -> tbl.Table.schema.(p)) positions)
+    (Array.of_list (List.rev !rows))
+
+let cartesian ~name = function
+  | [] -> invalid_arg "Naive.cartesian: no tables"
+  | first :: rest ->
+      List.fold_left
+        (fun (acc : Table.t) (t : Table.t) ->
+          let rows = ref [] in
+          Table.iter (fun a -> Table.iter (fun b -> rows := Array.append a b :: !rows) t) acc;
+          Table.create ~name
+            ~schema:(Schema.concat acc.Table.schema t.Table.schema)
+            (Array.of_list (List.rev !rows)))
+        (Table.with_name first name) rest
+
 (* Columns of [tbl] still needed: those referenced by predicates not yet
    applied, plus the requested output columns. *)
 let prune tbl preds keep =
@@ -29,7 +57,7 @@ let prune tbl preds keep =
     (* keep an empty-schema table with the right row count *)
     Table.create ~name:tbl.Table.name ~schema:[||]
       (Array.make (Table.n_rows tbl) [||])
-  else Executor.project tbl cols
+  else project ~name:tbl.Table.name tbl cols
 
 (* A deadline poll to call once per row: it reads the clock every 16384
    calls and raises [Executor.Timeout] once the deadline has passed. *)
@@ -210,10 +238,10 @@ let rows ?deadline (frag : Fragment.t) =
     Fragment.connected_components frag
     |> List.map (fun comp -> join_component ?deadline frag comp keep)
   in
-  let merged = Executor.cartesian ~name:"naive" components in
+  let merged = cartesian ~name:"naive" components in
   match frag.Fragment.output with
   | [] -> merged
-  | out -> Executor.project ~name:"naive" merged out
+  | out -> project ~name:"naive" merged out
 
 (* ------------------------------------------------------------------ *)
 (* Weighted counting (the oracle's backend)                            *)

@@ -1620,27 +1620,6 @@ let telemetry_metrics_entry s =
       Server.drain server;
       Telemetry.metrics (Server.telemetry server))
 
-(* All committed-baseline flavours from ONE harness run: the
-   fig11-roster-only dump ([--baseline-out]), the same plus the
-   ["serve"] entry ([--serve-out]), additionally the ["io"] buffer-pool
-   entry ([--io-out]), additionally the ["pipeline"] executor-engine
-   entry ([--pipeline-out]), and additionally the ["telemetry"]
-   serving-recorder entry ([--telemetry-out]; [--metrics-out] writes
-   the same full dump). Shared entries are byte-identical across the
-   five, so full — histograms included — bench_diffs between the
-   committed files are meaningful. *)
-let metrics_json_flavors s =
-  let labelled = metrics_results s in
-  let serve = ("serve", serve_metrics_entry s) in
-  let io = ("io", io_metrics_entry s) in
-  let pipeline = ("pipeline", pipeline_metrics_entry s) in
-  let telemetry = ("telemetry", telemetry_metrics_entry s) in
-  ( json_of_labelled s labelled,
-    json_of_labelled ~extra:[ serve ] s labelled,
-    json_of_labelled ~extra:[ serve; io ] s labelled,
-    json_of_labelled ~extra:[ serve; io; pipeline ] s labelled,
-    json_of_labelled ~extra:[ serve; io; pipeline; telemetry ] s labelled )
-
 let metrics_json s =
   json_of_labelled
     ~extra:

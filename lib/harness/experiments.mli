@@ -75,20 +75,14 @@ val metrics_json : setup -> string
     ["telemetry"] entry with the serving flight recorder's
     deterministic counters (see {!telemetry_sweep}): the
     [Metrics.json_of_many] dump the bench tool writes with
-    [--metrics-out] and [tools/bench_diff] compares. When
-    [setup.tracer] is set, a synthetic ["phases"] entry carries the
-    per-category span counts and time histograms. *)
-
-val metrics_json_flavors :
-  setup -> string * string * string * string * string
-(** All committed-baseline flavours from ONE harness run: the
-    fig11-roster-only dump (written by [bench --baseline-out]), the
-    same plus the ["serve"] entry ([--serve-out]), additionally the
-    ["io"] entry ([--io-out]), additionally the ["pipeline"] entry
-    ([--pipeline-out]) and additionally the ["telemetry"] entry
-    ([--telemetry-out] and [--metrics-out]). Generating them together
-    keeps shared entries byte-identical, so full — histograms included
-    — [bench_diff]s between the committed files are meaningful. *)
+    [--metrics-out] and [tools/bench_diff] compares. [dune runtest]
+    compares a fresh dump ([--queries 12], otherwise {!default_setup})
+    exactly, counters and histogram observation counts, with the
+    committed [bench/baseline.json]; regenerate that file with
+    [dune exec bench/main.exe -- --queries 12 --metrics-out
+    bench/baseline.json]. When [setup.tracer] is set, a synthetic
+    ["phases"] entry carries the per-category span counts and time
+    histograms. *)
 
 val metrics : setup -> unit
 (** Beyond the paper: the observability layer's per-strategy metrics

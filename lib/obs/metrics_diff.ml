@@ -1,5 +1,7 @@
-(* Comparing two metrics-JSON dumps (the [Metrics.json_of_many] shape)
-   with relative thresholds, so bench runs can gate regressions.
+(* Comparing two metrics-JSON dumps (the [Metrics.json_of_many] shape):
+   exactly on their deterministic counts (the runtest gate against the
+   committed bench/baseline.json), or with relative thresholds for
+   comparisons by hand.
 
    The repo renders its JSON by hand to stay dependency-free; the same
    discipline applies to parsing it back, so this module carries a small
@@ -270,6 +272,52 @@ let diff ?(threshold = 0.2) ~old_ ~new_ () =
     improvements = List.rev improvements;
     missing = List.rev !missing;
   }
+
+(* --- exact comparison (the counter gate) ------------------------------- *)
+
+type exact = { counters : int; histogram_counts : int; mismatches : string list }
+
+let show = function None -> "absent" | Some v -> Printf.sprintf "%.17g" v
+
+(* keys of [a] in order, then those only in [b] *)
+let union a b =
+  List.map fst a @ List.filter (fun k -> not (List.mem_assoc k a)) (List.map fst b)
+
+(* Counters are deterministic for a fixed seed, and so is how many
+   observations each histogram took; the observed values themselves are
+   wall-clock, so they are never compared here. *)
+let exact ~old_ ~new_ =
+  let counters = ref 0 and histogram_counts = ref 0 in
+  let fields = function Some (Obj fs) -> fs | _ -> [] in
+  let olds = fields (Some old_) and news = fields (Some new_) in
+  let same tally entry o n =
+    List.filter_map
+      (fun k ->
+        let ov = List.assoc_opt k o and nv = List.assoc_opt k n in
+        if ov = nv then (incr tally; None)
+        else Some (Printf.sprintf "%s/%s %s→%s" entry k (show ov) (show nv)))
+      (union o n)
+  in
+  let counter_values e =
+    List.filter_map (fun (k, v) -> Option.map (fun x -> (k, x)) (num (Some v)))
+      (fields (member "counters" e))
+  and count_values e =
+    List.filter_map
+      (fun (k, h) -> Option.map (fun x -> (k ^ ".count", x)) (num (member "count" h)))
+      (fields (member "histograms" e))
+  in
+  let presence e = if e = None then "absent" else "present" in
+  let mismatches =
+    List.concat_map
+      (fun entry ->
+        match (List.assoc_opt entry olds, List.assoc_opt entry news) with
+        | Some o, Some n ->
+            same counters entry (counter_values o) (counter_values n)
+            @ same histogram_counts entry (count_values o) (count_values n)
+        | o, n -> [ Printf.sprintf "%s %s→%s" entry (presence o) (presence n) ])
+      (union olds news)
+  in
+  { counters = !counters; histogram_counts = !histogram_counts; mismatches }
 
 let render_change c =
   let delta = relative_increase ~old_v:c.old_value ~new_v:c.new_value in

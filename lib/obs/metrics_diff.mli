@@ -1,13 +1,15 @@
 (** Comparing two metrics-JSON dumps (the {!Metrics.json_of_many} shape,
-    as written by [bench --metrics-out]) with relative thresholds — the
-    logic behind [tools/bench_diff], which turns committed [BENCH_*.json]
-    files into a perf-regression gate.
+    as written by [bench --metrics-out]) — the logic behind
+    [tools/bench_diff].
 
-    All dumped metrics are higher-is-worse (times, bytes, Q-error,
-    timeout/materialization counts), so a relative increase beyond the
-    threshold is a regression and a decrease an improvement. The
-    [queries] counter is workload size and is instead checked for
-    equality. *)
+    {!exact} is the counter gate: [dune runtest] compares a fresh dump
+    of the code with the committed [bench/baseline.json] through it.
+    {!diff} is a relative-threshold comparison for runs compared by
+    hand. It treats every dumped metric as higher-is-worse (times,
+    bytes, Q-error, timeout/materialization counts), so a relative
+    increase beyond the threshold is a regression and a decrease an
+    improvement; the [queries] counter is workload size and is instead
+    checked for equality. *)
 
 type json =
   | Null
@@ -43,3 +45,19 @@ val diff : ?threshold:float -> old_:json -> new_:json -> unit -> report
     are ignored (adding metrics is not a regression). *)
 
 val render : report -> string
+
+type exact = {
+  counters : int;  (** counters present and equal in both dumps *)
+  histogram_counts : int;  (** histogram observation counts equal in both *)
+  mismatches : string list;
+      (** ["entry/counter old→new"] (or ["entry/histogram.count old→new"],
+          or ["entry present→absent"]), [absent] standing for a value
+          missing from one dump *)
+}
+
+val exact : old_:json -> new_:json -> exact
+(** Exact comparison of every entry, every counter and every histogram's
+    observation [count]: each must be present in both dumps with the
+    same value, and any difference, in either direction, is a mismatch.
+    Histogram values (means, percentiles) are not compared: they
+    measure wall clock. *)

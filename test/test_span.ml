@@ -402,6 +402,38 @@ let test_metrics_diff_missing_and_workload_size () =
   Alcotest.(check int) "no regressions from extras" 0
     (List.length ok.Metrics_diff.regressions)
 
+(* The runtest counter gate: exact in both directions, so a correctness
+   counter dropping (digests_identical 1→0) or a served query going
+   missing (completed 24→23) fails, as does a counter the baseline does
+   not have yet. *)
+let test_metrics_diff_exact () =
+  let base =
+    [ ("pipeline", [ ("digests_identical", 1) ], 1.0); ("serve", [ ("completed", 24) ], 1.0) ]
+  in
+  let mismatches entries =
+    (Metrics_diff.exact ~old_:(parse_exn (dump base)) ~new_:(parse_exn (dump entries)))
+      .Metrics_diff.mismatches
+  in
+  Alcotest.(check (list string)) "digest mismatch" [ "pipeline/digests_identical 1→0" ]
+    (mismatches
+       [ ("pipeline", [ ("digests_identical", 0) ], 1.0); ("serve", [ ("completed", 24) ], 1.0) ]);
+  Alcotest.(check (list string)) "one query fewer" [ "serve/completed 24→23" ]
+    (mismatches
+       [ ("pipeline", [ ("digests_identical", 1) ], 1.0); ("serve", [ ("completed", 23) ], 1.0) ]);
+  Alcotest.(check (list string)) "counter only in the new dump" [ "serve/rounds absent→24" ]
+    (mismatches
+       [
+         ("pipeline", [ ("digests_identical", 1) ], 1.0);
+         ("serve", [ ("completed", 24); ("rounds", 24) ], 1.0);
+       ]);
+  let identical = Metrics_diff.exact ~old_:(parse_exn (dump base)) ~new_:(parse_exn (dump base)) in
+  Alcotest.(check (list string)) "identical dumps pass" [] identical.Metrics_diff.mismatches;
+  Alcotest.(check (pair int int)) "all compared" (2, 2)
+    (identical.Metrics_diff.counters, identical.Metrics_diff.histogram_counts);
+  (* histogram means are wall clock: a slower run with the same counts passes *)
+  Alcotest.(check (list string)) "slower run passes" []
+    (mismatches (List.map (fun (l, c, _) -> (l, c, 9.0)) base))
+
 let test_metrics_diff_parser () =
   (match Metrics_diff.parse "{\"a\": [1, true, null, \"x\\u00e9\"]}" with
   | Ok (Metrics_diff.Obj [ ("a", Metrics_diff.List l) ]) ->
@@ -441,5 +473,6 @@ let suite =
       test_metrics_diff_improvement_and_threshold;
     Alcotest.test_case "metrics diff: missing + workload size" `Quick
       test_metrics_diff_missing_and_workload_size;
+    Alcotest.test_case "metrics diff: exact counter gate" `Quick test_metrics_diff_exact;
     Alcotest.test_case "metrics diff: parser" `Quick test_metrics_diff_parser;
   ]

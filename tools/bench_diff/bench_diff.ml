@@ -1,38 +1,23 @@
 (* bench_diff: compare two metrics-JSON dumps written by
-   [bench --metrics-out] (or the committed BENCH_*.json artifacts) with
-   a relative threshold.
+   [bench --metrics-out].
 
      dune exec tools/bench_diff/bench_diff.exe -- old.json new.json
      dune exec tools/bench_diff/bench_diff.exe -- --threshold 0.1 a.json b.json
      dune exec tools/bench_diff/bench_diff.exe -- --counters-only a.json b.json
 
-   [--counters-only] drops every histogram before diffing, comparing only
-   the deterministic counters (queries, timeouts, replans,
-   materializations, memo hits...) — the machine-independent subset, used
-   by tools/check.sh to gate committed BENCH_*.json baselines without
-   tripping on wall-clock noise.
+   [--counters-only] is the exact counter gate (Metrics_diff.exact): every
+   entry, counter and histogram observation count must be present in
+   both dumps with the same value. [dune runtest] runs it against the
+   committed bench/baseline.json (see bench/dune). Without it, the dumps
+   are compared with a relative threshold, histogram means included.
 
-   Exit status: 0 = within threshold, 1 = regressions (or metrics gone
-   missing / workload size changed), 2 = usage or parse error. *)
+   Exit status: 0 = identical counts / within threshold, 1 = mismatches,
+   regressions, metrics gone missing or workload size changed, 2 = usage
+   or parse error. *)
 
 module Metrics_diff = Qs_obs.Metrics_diff
 
 let usage = "usage: bench_diff [--threshold REL] [--counters-only] OLD.json NEW.json"
-
-(* keep only each strategy's "counters" member, so histogram drift (means
-   of times/bytes/q-error, which vary by machine and by sampled workload)
-   never fails the deterministic gate *)
-let counters_only = function
-  | Metrics_diff.Obj strategies ->
-      Metrics_diff.Obj
-        (List.map
-           (fun (label, entry) ->
-             match entry with
-             | Metrics_diff.Obj members ->
-                 (label, Metrics_diff.Obj (List.filter (fun (k, _) -> k = "counters") members))
-             | other -> (label, other))
-           strategies)
-  | other -> other
 
 let fail_usage msg =
   prerr_endline msg;
@@ -71,12 +56,20 @@ let () =
   match !files with
   | [ old_path; new_path ] ->
       let old_ = load old_path and new_ = load new_path in
-      let old_, new_ =
-        if !counters then (counters_only old_, counters_only new_)
-        else (old_, new_)
-      in
-      let report = Metrics_diff.diff ~threshold:!threshold ~old_ ~new_ () in
-      print_string (Metrics_diff.render report);
-      if report.Metrics_diff.regressions <> [] || report.Metrics_diff.missing <> []
-      then exit 1
+      if !counters then begin
+        let r = Metrics_diff.exact ~old_ ~new_ in
+        List.iter (fun m -> print_endline ("  " ^ m)) r.Metrics_diff.mismatches;
+        if r.Metrics_diff.mismatches <> [] then begin
+          Printf.printf "%s differs from %s in %d counts\n" new_path old_path
+            (List.length r.Metrics_diff.mismatches);
+          exit 1
+        end;
+        Printf.printf "%d counters and %d histogram counts identical\n"
+          r.Metrics_diff.counters r.Metrics_diff.histogram_counts
+      end
+      else
+        let report = Metrics_diff.diff ~threshold:!threshold ~old_ ~new_ () in
+        print_string (Metrics_diff.render report);
+        if report.Metrics_diff.regressions <> [] || report.Metrics_diff.missing <> []
+        then exit 1
   | _ -> fail_usage "bench_diff: expected exactly two files"

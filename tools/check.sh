@@ -10,14 +10,14 @@
 #                               cannot silently vanish from traces
 #   3. span-category lint     — every Span.category constructor is listed
 #                               in Span.all_categories
-#   4. bench baseline drift   — the chained bench_diffs over the committed
-#                               BENCH_pr*.json files, plus a presence check
-#                               for the entry each file adds
-#   5. dune build @fmt and the out-of-core buffer-pool suite — skipped
+#   4. dune build @fmt and the out-of-core buffer-pool suite — skipped
 #                               when already running under dune
 #                               (INSIDE_DUNE is set): dune cannot re-enter
 #                               itself, and the runtest rule depends on
 #                               the fmt alias instead.
+#
+# The committed counter baseline is not checked here: bench/dune gates
+# it against a fresh run of the code on every `dune runtest`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -70,75 +70,6 @@ for c in $span_constructors; do
     status=1
   fi
 done
-
-# --- bench baseline drift ----------------------------------------------
-# The committed BENCH_*.json dumps all come from ONE harness run
-# (`bench --queries 12 --baseline-out BENCH_pr5.json --serve-out
-# BENCH_pr6.json --io-out BENCH_pr7.json --pipeline-out BENCH_pr8.json
-# --telemetry-out BENCH_pr9.json --metrics-out BENCH_pr10.json`, then
-# BENCH_pr4.json is a copy of the regenerated BENCH_pr5.json), so
-# shared entries are byte-identical across the stack and every diff —
-# histograms included — runs full.
-# Each later baseline is a superset: pr6 adds the "serve" entry, pr7
-# the "io" buffer-pool entry, pr8 the "pipeline" executor entry (the
-# executor's intermediate-table and partition-reuse counters, and
-# digests_identical = 1 when its results match Naive.rows), and
-# BENCH_pr9.json the "telemetry" serving entry.
-# BENCH_pr10.json holds the same entries as BENCH_pr9.json.
-# The exe is a declared dep of the runtest rule; when running by hand it
-# lives under _build.
-bench_diff=tools/bench_diff/bench_diff.exe
-[ -x "$bench_diff" ] || bench_diff=_build/default/tools/bench_diff/bench_diff.exe
-if [ -x "$bench_diff" ] && [ -f BENCH_pr4.json ] && [ -f BENCH_pr5.json ]; then
-  "$bench_diff" BENCH_pr4.json BENCH_pr5.json || {
-    echo "check: BENCH_pr5.json regresses against BENCH_pr4.json" >&2
-    status=1
-  }
-else
-  echo "check: bench_diff not built — skipping baseline diff" >&2
-fi
-if [ -x "$bench_diff" ] && [ -f BENCH_pr5.json ] && [ -f BENCH_pr6.json ]; then
-  "$bench_diff" BENCH_pr5.json BENCH_pr6.json || {
-    echo "check: BENCH_pr6.json regresses against BENCH_pr5.json" >&2
-    status=1
-  }
-fi
-if [ -x "$bench_diff" ] && [ -f BENCH_pr6.json ] && [ -f BENCH_pr7.json ]; then
-  "$bench_diff" BENCH_pr6.json BENCH_pr7.json || {
-    echo "check: BENCH_pr7.json regresses against BENCH_pr6.json" >&2
-    status=1
-  }
-  grep -q '"io"' BENCH_pr7.json || {
-    echo "check: BENCH_pr7.json is missing the \"io\" buffer-pool entry" >&2
-    status=1
-  }
-fi
-if [ -x "$bench_diff" ] && [ -f BENCH_pr7.json ] && [ -f BENCH_pr8.json ]; then
-  "$bench_diff" BENCH_pr7.json BENCH_pr8.json || {
-    echo "check: BENCH_pr8.json regresses against BENCH_pr7.json" >&2
-    status=1
-  }
-  grep -q '"pipeline"' BENCH_pr8.json || {
-    echo "check: BENCH_pr8.json is missing the \"pipeline\" executor entry" >&2
-    status=1
-  }
-fi
-if [ -x "$bench_diff" ] && [ -f BENCH_pr8.json ] && [ -f BENCH_pr9.json ]; then
-  "$bench_diff" BENCH_pr8.json BENCH_pr9.json || {
-    echo "check: BENCH_pr9.json regresses against BENCH_pr8.json" >&2
-    status=1
-  }
-  grep -q '"telemetry"' BENCH_pr9.json || {
-    echo "check: BENCH_pr9.json is missing the \"telemetry\" serving entry" >&2
-    status=1
-  }
-fi
-if [ -x "$bench_diff" ] && [ -f BENCH_pr9.json ] && [ -f BENCH_pr10.json ]; then
-  "$bench_diff" BENCH_pr9.json BENCH_pr10.json || {
-    echo "check: BENCH_pr10.json regresses against BENCH_pr9.json" >&2
-    status=1
-  }
-fi
 
 # --- formatting + out-of-core fuzz corpus ------------------------------
 # Both already covered by `dune runtest` (which cannot re-enter dune);

@@ -22,9 +22,9 @@
 #      overwrite-oldest invariants live entirely in Telemetry; everyone
 #      else goes through Telemetry.complete / Telemetry.snapshot.
 #   6. The oracle running the engine — lib/exec/naive.ml must not call
-#      Executor.run, Executor.filter_input or Executor.filter_table. The
-#      differential tests check the engine against Naive, so Naive keeps
-#      its own scan and join.
+#      Executor.run, filter_input, filter_table, project or cartesian.
+#      The differential tests check the engine against Naive, so Naive
+#      keeps its own scan, join, projection and cross product.
 #
 # Allow-list entries:
 #   lib/util/scratch.ml / .mli — only *mention* Obj in documentation
@@ -35,8 +35,8 @@ ALLOW="lib/util/scratch.ml lib/util/scratch.mli"
 TO_ROWS_ALLOW=""
 
 status=0
-if grep -nE 'Executor\.(run|filter_input|filter_table)\b' lib/exec/naive.ml; then
-  echo "lint: lib/exec/naive.ml runs the engine it is the oracle for — keep its own scan and join (see tools/lint_unsafe.sh)" >&2
+if grep -nE 'Executor\.(run|filter_input|filter_table|project|cartesian)\b' lib/exec/naive.ml; then
+  echo "lint: lib/exec/naive.ml runs the engine it is the oracle for — keep its own scan, join, projection and cross product (see tools/lint_unsafe.sh)" >&2
   status=1
 fi
 for f in $(find lib bin bench \( -name '*.ml' -o -name '*.mli' \) | sort); do
